@@ -242,8 +242,7 @@ RunResult AsyncTangleSimulation::run() {
         ++stats_.lost;
         async_lost_counter().increment();
       } else {
-        const auto added = store_.add(payload_pipeline_.process(
-            top.request.params, top.request.parents, tangle_, store_));
+        const auto added = store_.add(top.request.payload);
         tangle_.add_transaction(top.request.parents, added.id, added.hash,
                                 to_micros(top.time),
                                 top.malicious ? "malicious" : "async-node");
@@ -284,7 +283,7 @@ RunResult AsyncTangleSimulation::run() {
                         master_rng_.split(streams::kNode)
                             .split(to_micros(event.time))
                             .split(event.user + 1),
-                        cones, nullptr, &eval_engine_};
+                        cones, nullptr, &eval_engine_, &payload_pipeline_};
 
     std::optional<PublishRequest> publish;
     if (!malicious) {

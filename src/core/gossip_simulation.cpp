@@ -184,7 +184,7 @@ std::size_t GossipSimulation::run_round(std::uint64_t round) {
                         master_rng_.split(streams::kNode)
                             .split(round)
                             .split(user_index + 1),
-                        cones, nullptr, &eval_engine_};
+                        cones, nullptr, &eval_engine_, &payload_pipeline_};
     HonestNode node(config_.node);
     auto publish = node.step(context, dataset_->user(user_index));
     if (!publish) {
@@ -192,8 +192,7 @@ std::size_t GossipSimulation::run_round(std::uint64_t round) {
       gossip_suppressed_counter().increment();
       continue;
     }
-    const auto added = store_.add(payload_pipeline_.process(
-        std::move(publish->params), publish->parents, tangle_, store_));
+    const auto added = store_.add(std::move(publish->payload));
     const tangle::TxIndex index = tangle_.add_transaction(
         publish->parents, added.id, added.hash, round,
         dataset_->user(user_index).user_id);

@@ -10,9 +10,25 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "tangle/payload_codec.hpp"
 
 namespace tanglefl::core {
 namespace {
+
+/// Broadcast(w_new): the publisher encodes its payload through the
+/// engine's codec and hashes (and chunks) it for the ledger, so that work
+/// is part of its own step and runs in parallel with the other nodes'. The
+/// engine's ledger barrier then only inserts the prepared payload.
+PublishRequest publish(const NodeContext& context,
+                       std::vector<tangle::TxIndex> parents,
+                       nn::ParamVector params) {
+  if (context.pipeline != nullptr) {
+    params = context.pipeline->process(std::move(params), parents,
+                                       context.view.tangle(), context.store);
+  }
+  return PublishRequest{std::move(parents),
+                        context.store.prepare(std::move(params))};
+}
 
 /// Loss of a parameter vector on `split`, via a throwaway model instance.
 double params_loss(const nn::ModelFactory& factory,
@@ -262,25 +278,28 @@ std::optional<PublishRequest> HonestNode::step(NodeContext& context,
   }
 
   // if ValidationLoss(w_new) < ValidationLoss(w_r): Broadcast(w_new)
-  obs::TraceScope validate_span("node.validate", &validate_timing());
   double new_loss = 0.0;
   double reference_loss = 0.0;
-  if (prepared != nullptr) {
-    // One group fuses the publish gate's two forwards. The freshly trained
-    // parameters have no payload identity yet — keyless, so uncached
-    // (`outgoing` is exactly what the model holds, transformed or not). The
-    // reference average is identified by its ordered payload list, so its
-    // loss caches across steps and rounds.
-    const std::array<EvalRequest, 2> requests{
-        EvalRequest{outgoing, std::nullopt},
-        EvalRequest{reference.params, ParamsKey{reference.payloads}}};
-    const std::vector<EvalOutcome> outcomes =
-        context.eval->evaluate_many(requests, *prepared, context.kernel_pool);
-    new_loss = outcomes[0].result.loss;
-    reference_loss = outcomes[1].result.loss;
-  } else {
-    new_loss = data::evaluate(model, validation).loss;
-    reference_loss = params_loss(context.factory, reference.params, validation);
+  {
+    obs::TraceScope validate_span("node.validate", &validate_timing());
+    if (prepared != nullptr) {
+      // One group fuses the publish gate's two forwards. The freshly trained
+      // parameters have no payload identity yet — keyless, so uncached
+      // (`outgoing` is exactly what the model holds, transformed or not). The
+      // reference average is identified by its ordered payload list, so its
+      // loss caches across steps and rounds.
+      const std::array<EvalRequest, 2> requests{
+          EvalRequest{outgoing, std::nullopt},
+          EvalRequest{reference.params, ParamsKey{reference.payloads}}};
+      const std::vector<EvalOutcome> outcomes = context.eval->evaluate_many(
+          requests, *prepared, context.kernel_pool);
+      new_loss = outcomes[0].result.loss;
+      reference_loss = outcomes[1].result.loss;
+    } else {
+      new_loss = data::evaluate(model, validation).loss;
+      reference_loss =
+          params_loss(context.factory, reference.params, validation);
+    }
   }
   if (new_loss >= reference_loss) {
     suppressed_no_improvement_counter().increment();
@@ -288,7 +307,7 @@ std::optional<PublishRequest> HonestNode::step(NodeContext& context,
   }
 
   published_counter().increment();
-  return PublishRequest{parents, std::move(outgoing)};
+  return publish(context, parents, std::move(outgoing));
 }
 
 std::optional<PublishRequest> RandomPoisonNode::step(
@@ -309,7 +328,7 @@ std::optional<PublishRequest> RandomPoisonNode::step(
   nn::ParamVector params(model.parameter_count());
   Rng noise_rng = context.rng.split(streams::kPoisonNoise);
   for (auto& p : params) p = static_cast<float>(noise_rng.normal());
-  return PublishRequest{std::move(parents), std::move(params)};
+  return publish(context, std::move(parents), std::move(params));
 }
 
 std::optional<PublishRequest> BackdoorNode::step(
@@ -351,7 +370,7 @@ std::optional<PublishRequest> BackdoorNode::step(
   for (std::size_t i = 0; i < boosted.size(); ++i) {
     boosted[i] = base[i] + static_cast<float>(boost_) * (boosted[i] - base[i]);
   }
-  return PublishRequest{std::move(parents), std::move(boosted)};
+  return publish(context, std::move(parents), std::move(boosted));
 }
 
 std::optional<PublishRequest> LabelFlipNode::step(

@@ -19,6 +19,10 @@
 #include "tangle/tip_selection.hpp"
 #include "tangle/view_cache.hpp"
 
+namespace tanglefl::tangle {
+class PayloadPipeline;
+}  // namespace tanglefl::tangle
+
 namespace tanglefl::core {
 
 class BatchedSplit;
@@ -55,10 +59,12 @@ struct NodeConfig {
   bool quantize_payloads = false;
 };
 
-/// What a node wants to publish at the end of its round.
+/// What a node publishes at the end of its round: the approved parents and
+/// its new model payload, already through the engine's codec and prepared
+/// for the store (hashed, and chunked when the store chunks).
 struct PublishRequest {
   std::vector<tangle::TxIndex> parents;  // approved transactions
-  nn::ParamVector params;                // new model payload
+  tangle::PreparedPayload payload;       // new model payload
 };
 
 /// Read-only view of the world a node sees during its training round, plus
@@ -81,6 +87,11 @@ struct NodeContext {
   // probe through the legacy factory()-per-probe path; results are
   // bit-identical either way. Not owned; must outlive the step.
   EvalEngine* eval = nullptr;
+  // The engine's publish-path codec (tangle/payload_codec.hpp): a
+  // publishing node sends its payload through it before preparing it for
+  // the store. Null publishes the parameters as trained, like a pipeline
+  // with no stage on. Not owned; must outlive the step.
+  const tangle::PayloadPipeline* pipeline = nullptr;
 };
 
 class NodeBehavior {

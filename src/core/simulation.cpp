@@ -174,7 +174,8 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
                         master_rng_.split(streams::kNode)
                             .split(round)
                             .split(user_index + 1),
-                        cones, kernel_pool_.get(), &eval_engine_};
+                        cones, kernel_pool_.get(), &eval_engine_,
+                        &payload_pipeline_};
 
     if (!malicious) {
       HonestNode node(config_.node);
@@ -212,7 +213,9 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
   });
 
   // Round barrier: everything published this round lands in the ledger
-  // now and becomes visible from round + 1 on.
+  // now and becomes visible from round + 1 on. Each publishing step already
+  // encoded and hashed its payload in its lane (from the pre-round view,
+  // with the store only read), so the barrier only inserts, in slot order.
   std::size_t published = 0;
   std::size_t honest_published = 0;
   std::size_t honest_participants = 0;
@@ -221,9 +224,7 @@ std::size_t TangleSimulation::run_round(std::uint64_t round) {
     auto& result = results[slot];
     if (!result.malicious) ++honest_participants;
     if (!result.publish) continue;
-    const auto added = store_.add(payload_pipeline_.process(
-        std::move(result.publish->params), result.publish->parents, tangle_,
-        store_));
+    const auto added = store_.add(std::move(result.publish->payload));
     tangle_.add_transaction(result.publish->parents, added.id, added.hash,
                             round,
                             result.malicious

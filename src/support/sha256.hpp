@@ -1,6 +1,9 @@
 // SHA-256 (FIPS 180-4). Used to content-address model payloads and to
 // derive transaction ids in the tangle, and by the optional proof-of-work
-// primitive. Streaming interface plus one-shot helpers.
+// primitive. Streaming interface plus one-shot helpers. Blocks go through
+// the Intel SHA extensions when the CPU has them and through the portable
+// scalar code otherwise, chosen once per process (support/sha256_impl.hpp);
+// both give the same digests.
 #pragma once
 
 #include <array>
@@ -34,8 +37,6 @@ class Sha256 {
   static Sha256Digest hash(std::string_view data) noexcept;
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::uint64_t total_bytes_ = 0;

@@ -64,38 +64,75 @@ Sha256Digest ModelStore::hash_params(std::span<const float> params) {
   return Sha256::hash(param_bytes(params));
 }
 
+std::size_t ModelStore::DigestHasher::operator()(
+    const Sha256Digest& digest) const noexcept {
+  std::uint64_t prefix = 0;
+  std::memcpy(&prefix, digest.data(), sizeof(prefix));
+  return static_cast<std::size_t>(prefix);
+}
+
+PreparedPayload ModelStore::prepare(nn::ParamVector params) const {
+  obs::TraceScope span("store.prepare");
+  PreparedPayload payload(std::move(params));
+  {
+    ReaderLock lock(mutex_);
+    payload.chunked_ = chunking_;
+    payload.chunk_params_ = chunk_params_;
+  }
+  payload.hash_ = hash_params(payload.params_);
+  if (payload.chunked_) {
+    const std::span<const std::uint8_t> bytes = param_bytes(payload.params_);
+    std::size_t begin = 0;
+    for (const std::size_t end :
+         chunk_boundaries(bytes, payload.chunk_params_)) {
+      payload.chunks_.push_back(
+          {end, Sha256::hash(bytes.subspan(begin, end - begin))});
+      begin = end;
+    }
+  }
+  return payload;
+}
+
 ModelStore::AddResult ModelStore::add(nn::ParamVector params) {
+  return add(prepare(std::move(params)));
+}
+
+ModelStore::AddResult ModelStore::add(PreparedPayload payload) {
   obs::TraceScope span("store.add", &add_timing_histogram());
   add_counter().increment();
   AddResult result;
-  result.hash = hash_params(params);
-  const std::string key = to_hex(result.hash);
+  result.hash = payload.hash_;
 
   WriterLock lock(mutex_);
-  if (const auto it = by_hash_.find(key); it != by_hash_.end()) {
+  if (payload.chunked_ != chunking_ ||
+      (chunking_ && payload.chunk_params_ != chunk_params_)) {
+    throw std::logic_error(
+        "ModelStore::add: payload was prepared for another chunk layout");
+  }
+  if (const auto it = by_hash_.find(result.hash); it != by_hash_.end()) {
     result.id = it->second;
     result.deduplicated = true;
     dedup_counter().increment();
     return result;
   }
   result.id = entries_.size();
-  live_floats_ += params.size();
-  entries_.push_back({std::move(params), result.hash, /*released=*/false, {}});
-  by_hash_.emplace(key, result.id);
-  if (chunking_) chunk_payload_locked(entries_.back());
+  live_floats_ += payload.params_.size();
+  entries_.push_back(
+      {std::move(payload.params_), result.hash, /*released=*/false, {}});
+  by_hash_.emplace(result.hash, result.id);
+  if (chunking_) insert_chunks_locked(entries_.back(), payload.chunks_);
   return result;
 }
 
-void ModelStore::chunk_payload_locked(Entry& entry) {
+void ModelStore::insert_chunks_locked(
+    Entry& entry, std::span<const PreparedPayload::Chunk> chunks) {
   const std::span<const std::uint8_t> bytes = param_bytes(entry.params);
   std::size_t begin = 0;
-  for (const std::size_t end : chunk_boundaries(bytes, chunk_params_)) {
-    const std::span<const std::uint8_t> chunk =
-        bytes.subspan(begin, end - begin);
-    begin = end;
-    const Sha256Digest digest = Sha256::hash(chunk);
-    const std::string chunk_key = to_hex(digest);
-    if (const auto it = chunk_by_hash_.find(chunk_key);
+  for (const PreparedPayload::Chunk& chunk : chunks) {
+    const std::span<const std::uint8_t> piece =
+        bytes.subspan(begin, chunk.end - begin);
+    begin = chunk.end;
+    if (const auto it = chunk_by_hash_.find(chunk.hash);
         it != chunk_by_hash_.end()) {
       ++chunks_[it->second].refcount;
       entry.chunk_ids.push_back(it->second);
@@ -111,10 +148,10 @@ void ModelStore::chunk_payload_locked(Entry& entry) {
       chunks_.emplace_back();
     }
     ChunkSlot& stored = chunks_[slot];
-    stored.bytes.assign(chunk.begin(), chunk.end());
-    stored.hash = digest;
+    stored.bytes.assign(piece.begin(), piece.end());
+    stored.hash = chunk.hash;
     stored.refcount = 1;
-    chunk_by_hash_.emplace(chunk_key, slot);
+    chunk_by_hash_.emplace(chunk.hash, slot);
     entry.chunk_ids.push_back(slot);
     ++live_chunks_;
     chunks_counter().increment();
@@ -125,7 +162,7 @@ void ModelStore::release_chunks_locked(Entry& entry) {
   for (const std::uint32_t slot : entry.chunk_ids) {
     ChunkSlot& chunk = chunks_[slot];
     if (--chunk.refcount == 0) {
-      chunk_by_hash_.erase(to_hex(chunk.hash));
+      chunk_by_hash_.erase(chunk.hash);
       chunk.bytes.clear();
       chunk.bytes.shrink_to_fit();
       free_chunk_slots_.push_back(slot);
@@ -156,7 +193,7 @@ void ModelStore::release(PayloadId id) {
   }
   Entry& entry = entries_[id];
   if (entry.released) return;
-  by_hash_.erase(to_hex(entry.hash));
+  by_hash_.erase(entry.hash);
   live_floats_ -= entry.params.size();
   entry.params.clear();
   entry.params.shrink_to_fit();

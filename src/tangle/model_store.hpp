@@ -13,10 +13,17 @@
 // contract is untouched — while the chunk table is the at-rest tier:
 // serialization writes each unique chunk once, and the
 // ledger.codec.{chunks,chunk_dedup_hits} counters expose the sharing.
+//
+// Inserting is split in two: prepare() does the pure per-payload work
+// (payload SHA-256, chunk cut and chunk digests) under no more than a reader
+// lock, so engines run it in parallel where a node publishes; add() of the
+// prepared payload only does the dedup lookups and inserts under the writer
+// lock.
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -34,16 +41,57 @@ struct ChunkParams {
   std::size_t max_bytes = 8192;
   // Average chunk size ~ min_bytes + 2^mask_bits.
   unsigned mask_bits = 11;
+
+  bool operator==(const ChunkParams&) const = default;
+};
+
+/// A payload ready for ModelStore::add: its parameters, their SHA-256 and,
+/// when the store chunks, the content-defined chunk cut with each chunk's
+/// digest. Only ModelStore::prepare builds one, so add() is never handed a
+/// digest that does not belong to the parameters.
+class PreparedPayload {
+ public:
+  const nn::ParamVector& params() const noexcept { return params_; }
+  const Sha256Digest& hash() const noexcept { return hash_; }
+
+ private:
+  friend class ModelStore;
+
+  struct Chunk {
+    std::size_t end = 0;  // exclusive byte offset into params_
+    Sha256Digest hash{};
+  };
+
+  // No default constructor, so `add({})` still means an empty ParamVector.
+  explicit PreparedPayload(nn::ParamVector params) noexcept
+      : params_(std::move(params)) {}
+
+  nn::ParamVector params_;
+  Sha256Digest hash_{};
+  // The store layout prepare() saw; add() rejects a payload prepared for
+  // another one.
+  bool chunked_ = false;
+  ChunkParams chunk_params_{};
+  std::vector<Chunk> chunks_;
 };
 
 class ModelStore {
  public:
+  /// Hashes (and, when chunking is on, cuts and hashes the chunks of) a
+  /// payload for add(). Reads only the chunk layout, so any number of
+  /// threads may prepare while others read the store.
+  PreparedPayload prepare(nn::ParamVector params) const;
+
   /// Inserts (or deduplicates) a payload; returns its handle and hash.
+  /// Throws std::logic_error if `payload` was prepared for another chunk
+  /// layout (configure_chunking ran in between).
   struct AddResult {
     PayloadId id = 0;
     Sha256Digest hash{};
     bool deduplicated = false;
   };
+  AddResult add(PreparedPayload payload);
+  /// add(prepare(params)).
   AddResult add(nn::ParamVector params);
 
   /// Payload lookup. The returned reference stays valid for the store's
@@ -122,7 +170,13 @@ class ModelStore {
     std::size_t refcount = 0;
   };
 
-  void chunk_payload_locked(Entry& entry)
+  /// SHA-256 digests are uniform, so their first 8 bytes are a good hash.
+  struct DigestHasher {
+    std::size_t operator()(const Sha256Digest& digest) const noexcept;
+  };
+
+  void insert_chunks_locked(Entry& entry,
+                            std::span<const PreparedPayload::Chunk> chunks)
       TANGLEFL_REQUIRES(mutex_);
   void release_chunks_locked(Entry& entry)
       TANGLEFL_REQUIRES(mutex_);
@@ -135,16 +189,16 @@ class ModelStore {
   // entries. Handing out those references is the one sanctioned escape of
   // guarded state: entries are append-only and immutable once inserted.
   std::deque<Entry> entries_ TANGLEFL_GUARDED_BY(mutex_);
-  // hex hash -> id
-  std::unordered_map<std::string, PayloadId> by_hash_
+  // payload hash -> id of its live entry
+  std::unordered_map<Sha256Digest, PayloadId, DigestHasher> by_hash_
       TANGLEFL_GUARDED_BY(mutex_);
   std::size_t live_floats_ TANGLEFL_GUARDED_BY(mutex_) = 0;
 
   bool chunking_ TANGLEFL_GUARDED_BY(mutex_) = false;
   ChunkParams chunk_params_ TANGLEFL_GUARDED_BY(mutex_){};
   std::deque<ChunkSlot> chunks_ TANGLEFL_GUARDED_BY(mutex_);
-  // hex chunk hash -> slot
-  std::unordered_map<std::string, std::uint32_t> chunk_by_hash_
+  // chunk hash -> slot
+  std::unordered_map<Sha256Digest, std::uint32_t, DigestHasher> chunk_by_hash_
       TANGLEFL_GUARDED_BY(mutex_);
   std::vector<std::uint32_t> free_chunk_slots_ TANGLEFL_GUARDED_BY(mutex_);
   std::size_t live_chunks_ TANGLEFL_GUARDED_BY(mutex_) = 0;

@@ -78,6 +78,82 @@ TEST(ConcurrencyStress, ModelStoreReadersDuringGrowth) {
   EXPECT_EQ(store.get(seeded.id), (nn::ParamVector{0.0f, 0.0f}));
 }
 
+// Publishing node steps call ModelStore::prepare in their pool lanes while
+// other lanes read parent payloads and the engine's barrier, or pruning,
+// writes. prepare() reads only the chunk layout under the reader lock;
+// this runs it against get()/is_released() readers and a writer that adds
+// and releases, so ThreadSanitizer sees every pairing.
+TEST(ConcurrencyStress, PrepareAlongsideReadersAndWriter) {
+  tangle::ModelStore store;
+  tangle::ChunkParams chunks;
+  chunks.min_bytes = 8;
+  chunks.max_bytes = 64;
+  chunks.mask_bits = 4;
+  store.configure_chunking(chunks);
+
+  const auto payload = [](float seed) {
+    nn::ParamVector params(48);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      params[i] = seed + static_cast<float>(i % 7);
+    }
+    return params;
+  };
+  // Even ids stay live for the readers; the writer releases the odd ones.
+  constexpr std::size_t kSeeded = 40;
+  for (std::size_t i = 0; i < kSeeded; ++i) {
+    store.add(payload(static_cast<float>(i) * 10.0f));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> read_checksum{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        for (std::size_t id = 0; id < kSeeded; ++id) {
+          const bool released = store.is_released(id);
+          if (id % 2 == 0) {
+            EXPECT_FALSE(released);
+            read_checksum.fetch_add(store.get(id).size(),
+                                    std::memory_order_relaxed);
+          }
+        }
+      }
+    });
+  }
+
+  constexpr std::size_t kPreparers = 3;
+  constexpr std::size_t kPerPreparer = 60;
+  std::vector<std::vector<tangle::PreparedPayload>> prepared(kPreparers);
+  std::vector<std::thread> preparers;
+  for (std::size_t p = 0; p < kPreparers; ++p) {
+    preparers.emplace_back([&, p] {
+      for (std::size_t i = 0; i < kPerPreparer; ++i) {
+        prepared[p].push_back(store.prepare(
+            payload(1000.0f + static_cast<float>(p * kPerPreparer + i))));
+      }
+    });
+  }
+  for (std::size_t i = 1; i < kSeeded; i += 2) {
+    store.release(i);
+    store.add(payload(5000.0f + static_cast<float>(i)));
+  }
+  for (auto& t : preparers) t.join();
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  for (const auto& batch : prepared) {
+    for (const tangle::PreparedPayload& ready : batch) {
+      const auto added = store.add(ready);
+      EXPECT_FALSE(added.deduplicated);
+      EXPECT_EQ(added.hash, tangle::ModelStore::hash_params(ready.params()));
+      EXPECT_EQ(store.get(added.id), ready.params());
+    }
+  }
+  EXPECT_EQ(store.size(), kSeeded + kSeeded / 2 + kPreparers * kPerPreparer);
+  EXPECT_GT(read_checksum.load(), 0u);
+}
+
 TEST(ConcurrencyStress, ModelStoreConcurrentDeduplication) {
   tangle::ModelStore store;
   constexpr int kThreads = 8;

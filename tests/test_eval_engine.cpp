@@ -775,7 +775,8 @@ TEST(EvalEngine, NodeStepBitIdenticalWithAndWithoutEngine) {
   ASSERT_EQ(without.has_value(), with.has_value());
   if (without.has_value()) {
     EXPECT_EQ(without->parents, with->parents);
-    EXPECT_EQ(without->params, with->params);  // bitwise ParamVector
+    // Bitwise ParamVector comparison.
+    EXPECT_EQ(without->payload.params(), with->payload.params());
   }
 }
 

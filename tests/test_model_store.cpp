@@ -279,6 +279,70 @@ TEST(ModelStoreChunked, FlatDumpLoadsIntoFlatStore) {
   EXPECT_EQ(restored.get(0), (nn::ParamVector{1.0f, 2.0f}));
 }
 
+// add(prepare(p)) is the one insert path; add(p) must stay exactly it, in
+// ids, hashes, dedup, chunk ids (visible in the serialized chunk spans) and
+// serialized bytes, across duplicates, releases and slot recycling.
+TEST(ModelStorePrepared, PreparedAddMatchesDirectAdd) {
+  for (const bool chunked : {false, true}) {
+    ModelStore direct;
+    ModelStore prepared;
+    if (chunked) {
+      direct.configure_chunking(tiny_chunks());
+      prepared.configure_chunking(tiny_chunks());
+    }
+    const std::vector<nn::ParamVector> payloads = {
+        patterned_params(120, 1.0f), patterned_params(80, 50.0f),
+        patterned_params(120, 1.0f),  // whole-payload duplicate
+        patterned_params(64, 75.0f), patterned_params(121, 1.0f)};
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+      const auto a = direct.add(payloads[i]);
+      const PreparedPayload ready = prepared.prepare(payloads[i]);
+      EXPECT_EQ(ready.params(), payloads[i]);
+      EXPECT_EQ(ready.hash(), ModelStore::hash_params(payloads[i]));
+      const auto b = prepared.add(ready);
+      EXPECT_EQ(a.id, b.id) << "payload " << i;
+      EXPECT_EQ(a.hash, b.hash) << "payload " << i;
+      EXPECT_EQ(a.deduplicated, b.deduplicated) << "payload " << i;
+      if (i == 1) {
+        direct.release(a.id);
+        prepared.release(b.id);
+      }
+    }
+    // Re-adding released content recycles the freed chunk slots.
+    EXPECT_EQ(direct.add(patterned_params(80, 50.0f)).id,
+              prepared.add(prepared.prepare(patterned_params(80, 50.0f))).id);
+    EXPECT_EQ(direct.chunk_count(), prepared.chunk_count());
+    ByteWriter direct_bytes;
+    direct.serialize(direct_bytes);
+    ByteWriter prepared_bytes;
+    prepared.serialize(prepared_bytes);
+    EXPECT_EQ(direct_bytes.bytes(), prepared_bytes.bytes())
+        << (chunked ? "chunked" : "flat");
+  }
+}
+
+TEST(ModelStorePrepared, PayloadPreparedForAnotherLayoutThrows) {
+  ModelStore flat;
+  ModelStore chunked;
+  chunked.configure_chunking(tiny_chunks());
+  ModelStore coarse;
+  ChunkParams coarse_params = tiny_chunks();
+  coarse_params.max_bytes = 128;
+  coarse.configure_chunking(coarse_params);
+
+  const nn::ParamVector params = patterned_params(50, 2.0f);
+  EXPECT_THROW((void)chunked.add(flat.prepare(params)), std::logic_error);
+  EXPECT_THROW((void)flat.add(chunked.prepare(params)), std::logic_error);
+  EXPECT_THROW((void)coarse.add(chunked.prepare(params)), std::logic_error);
+  EXPECT_EQ(chunked.size(), 0u);
+  EXPECT_EQ(flat.size(), 0u);
+  // A payload prepared by another store with the same layout is fine.
+  ModelStore twin;
+  twin.configure_chunking(tiny_chunks());
+  EXPECT_EQ(twin.add(chunked.prepare(params)).hash,
+            ModelStore::hash_params(params));
+}
+
 TEST(ModelStore, SerializeRoundTripsReleasedEntries) {
   ModelStore store;
   const auto a = store.add({1.0f, 2.0f});

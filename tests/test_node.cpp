@@ -99,7 +99,8 @@ TEST(HonestNode, PublishesWhenTrainingImproves) {
   ASSERT_TRUE(publish.has_value());
   EXPECT_EQ(publish->parents.size(), 2u);
   for (const TxIndex p : publish->parents) EXPECT_EQ(p, 0u);
-  EXPECT_EQ(publish->params.size(), f.factory().parameter_count());
+  EXPECT_EQ(publish->payload.params().size(),
+            f.factory().parameter_count());
 }
 
 TEST(HonestNode, AbstainsWhenNoImprovementPossible) {
@@ -211,7 +212,7 @@ TEST(HonestNode, StepIsDeterministicInContextRng) {
   ASSERT_EQ(pa.has_value(), pb.has_value());
   if (pa) {
     EXPECT_EQ(pa->parents, pb->parents);
-    EXPECT_EQ(pa->params, pb->params);
+    EXPECT_EQ(pa->payload.params(), pb->payload.params());
   }
 }
 
@@ -226,11 +227,11 @@ TEST(RandomPoisonNode, AlwaysPublishesNoise) {
 
   // Standard normal: mean ~0, variance ~1.
   double sum = 0.0, sum_sq = 0.0;
-  for (const float p : publish->params) {
+  for (const float p : publish->payload.params()) {
     sum += p;
     sum_sq += static_cast<double>(p) * p;
   }
-  const auto n = static_cast<double>(publish->params.size());
+  const auto n = static_cast<double>(publish->payload.params().size());
   EXPECT_NEAR(sum / n, 0.0, 0.3);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.4);
 }
@@ -278,7 +279,7 @@ TEST(LabelFlipNode, TrainsTowardTargetOnPoisonedData) {
 
   // The published model predicts class 1 everywhere.
   nn::Model model = f.factory();
-  model.set_parameters(publish->params);
+  model.set_parameters(publish->payload.params());
   const double rate =
       data::targeted_misclassification_rate(model, f.user.test, 0, 1);
   EXPECT_GT(rate, 0.9);

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "core/simulation.hpp"
 #include "data/femnist_synth.hpp"
@@ -427,6 +428,54 @@ TEST(PayloadCodecEngine, BitIdenticalAcrossKernelThreadCounts) {
     for (std::size_t j = 0; j < history.size(); ++j) {
       EXPECT_EQ(history[j].accuracy, reference[j].accuracy);
       EXPECT_EQ(history[j].loss, reference[j].loss);
+    }
+  }
+}
+
+// Each publishing step encodes and prepares its payload in its own pool
+// lane, so node threads must not change a byte of the ledger: the lossy
+// preset is the sharp case, because its decoded payload depends on the
+// delta base read from the parents, and pruning releases payloads between
+// rounds.
+TEST(PayloadCodecEngine, BitIdenticalAcrossNodeThreadCounts) {
+  const auto dataset = small_dataset();
+  const auto factory = small_factory();
+
+  for (const std::string spec : {"default", "delta,quantize,entropy,chunk"}) {
+    std::vector<std::vector<std::string>> ledgers;
+    std::vector<core::RunResult> results;
+    std::vector<std::vector<std::uint8_t>> stores;
+    std::vector<TxIndex> floors;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      core::SimulationConfig config = fast_config(/*rounds=*/12);
+      config.nodes_per_round = 6;
+      config.codec = parse_codec_spec(spec);
+      config.threads = threads;
+      config.prune.enabled = true;
+      config.prune.interval = 2;
+      config.prune.keep_recent = 6;
+      core::TangleSimulation sim(dataset, factory, config);
+      results.push_back(sim.run());
+      ledgers.push_back(tx_hexes(sim.tangle()));
+      ByteWriter writer;
+      sim.store().serialize(writer);
+      stores.push_back(writer.bytes());
+      floors.push_back(sim.tangle().prune_floor());
+    }
+    // Pruning really released payloads, so the run covered the released
+    // delta-base path.
+    EXPECT_GT(floors[0], 0u) << spec;
+    for (std::size_t i = 1; i < ledgers.size(); ++i) {
+      EXPECT_EQ(ledgers[i], ledgers[0]) << spec << " thread variant " << i;
+      EXPECT_EQ(stores[i], stores[0]) << spec << " thread variant " << i;
+      EXPECT_EQ(floors[i], floors[0]) << spec << " thread variant " << i;
+      const auto& history = results[i].history;
+      const auto& reference = results[0].history;
+      ASSERT_EQ(history.size(), reference.size());
+      for (std::size_t j = 0; j < history.size(); ++j) {
+        EXPECT_EQ(history[j].accuracy, reference[j].accuracy) << spec;
+        EXPECT_EQ(history[j].loss, reference[j].loss) << spec;
+      }
     }
   }
 }

@@ -204,7 +204,7 @@ TEST(PrivacyNodeIntegration, DpNodeStillPublishesAndImproves) {
   ASSERT_TRUE(publish.has_value());
   // Published parameters differ from the base by at most clip + noise.
   const double norm =
-      delta_norm(publish->params, genesis_model.get_parameters());
+      delta_norm(publish->payload.params(), genesis_model.get_parameters());
   EXPECT_LT(norm, 0.5 + 0.3);
 }
 
@@ -241,10 +241,11 @@ TEST(PrivacyNodeIntegration, QuantizedNodePublishesQuantizedGrid) {
   const auto publish = node.step(context, user);
   ASSERT_TRUE(publish.has_value());
   // Every published value lies exactly on an 8-bit grid.
-  const QuantizedParams requantized = quantize_params(publish->params);
+  const QuantizedParams requantized =
+      quantize_params(publish->payload.params());
   const ParamVector restored = dequantize_params(requantized);
   for (std::size_t i = 0; i < restored.size(); ++i) {
-    EXPECT_NEAR(restored[i], publish->params[i], 1e-6f);
+    EXPECT_NEAR(restored[i], publish->payload.params()[i], 1e-6f);
   }
 }
 
