@@ -29,9 +29,9 @@ struct GrownTangle {
 
   explicit GrownTangle(std::size_t n) : tangle(make_genesis(store)) {
     Rng rng(1);
+    ViewCache cache(2);
     for (std::size_t i = 1; i < n; ++i) {
-      const TangleView view = tangle.view();
-      const auto tips = select_tips(view, 2, rng, {});
+      const auto tips = select_tips(*cache.get(tangle.view()), 2, rng, {});
       const auto added =
           store.add({static_cast<float>(i), static_cast<float>(i % 7)});
       tangle.add_transaction(tips, added.id, added.hash,
@@ -76,13 +76,12 @@ BENCHMARK(BM_PastConeSizes)->Arg(200)->Arg(1000)->Arg(4000);
 
 void BM_RandomWalkTip(benchmark::State& state) {
   GrownTangle grown(static_cast<std::size_t>(state.range(0)));
-  const TangleView view = grown.tangle.view();
-  const auto cones = view.future_cone_sizes();
+  const auto cones = ViewCacheEntry::build(grown.tangle.view());
   Rng rng(2);
   TipSelectionConfig config;
   config.alpha = 0.01;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(random_walk_tip(view, cones, rng, config));
+    benchmark::DoNotOptimize(random_walk_tip(*cones, rng, config));
   }
 }
 BENCHMARK(BM_RandomWalkTip)->Arg(200)->Arg(1000);
@@ -116,11 +115,12 @@ BENCHMARK(BM_ViewCacheHit)->Arg(200)->Arg(1000)->Arg(4000);
 void BM_ConfidenceSampling(benchmark::State& state) {
   GrownTangle grown(static_cast<std::size_t>(state.range(0)));
   const TangleView view = grown.tangle.view();
+  const auto cones = ViewCacheEntry::build(view);
   Rng rng(3);
   ConfidenceConfig config;
   config.sample_rounds = 35;  // the paper's setting
   for (auto _ : state) {
-    auto confidence = compute_confidences(view, rng, config);
+    auto confidence = compute_confidences(view, *cones, rng, config);
     benchmark::DoNotOptimize(confidence.data());
   }
 }

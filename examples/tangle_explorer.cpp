@@ -64,9 +64,10 @@ int main(int argc, char** argv) {
 
   // Consensus quantities of Section III-A.
   Rng rng(seed);
+  const auto cones = tangle::ViewCacheEntry::build(view);
   const auto confidences = tangle::compute_confidences(
-      view, rng, {.sample_rounds = 64, .tip_selection = {}});
-  const auto ratings = tangle::compute_ratings(view);
+      view, *cones, rng, {.sample_rounds = 64, .tip_selection = {}});
+  const auto ratings = tangle::compute_ratings(*cones);
 
   // The Algorithm 1 priority ordering, highest first.
   std::vector<tangle::TxIndex> order(view.size());

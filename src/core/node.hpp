@@ -68,30 +68,28 @@ struct PublishRequest {
 };
 
 /// Read-only view of the world a node sees during its training round, plus
-/// its private random stream.
+/// its private random stream. Nothing is owned; everything must outlive the
+/// step.
 struct NodeContext {
   const tangle::TangleView& view;
   const tangle::ModelStore& store;
   const nn::ModelFactory& factory;
-  std::uint64_t round = 0;
-  Rng rng;
-  // Shared per-view cone cache entry for `view` (see tangle/view_cache.hpp).
-  // Null means the node computes its own cones — results are bit-identical
-  // either way; the entry only removes redundant recomputation.
-  std::shared_ptr<const tangle::ViewCacheEntry> cones{};
-  // Optional intra-node pool for local-training kernels. Row-partitioned,
-  // so the published parameters are bit-identical for any pool size. Not
-  // owned; null trains serially.
-  ThreadPool* kernel_pool = nullptr;
-  // Shared evaluation engine (core/eval_engine.hpp). Null routes every loss
-  // probe through the legacy factory()-per-probe path; results are
-  // bit-identical either way. Not owned; must outlive the step.
-  EvalEngine* eval = nullptr;
+  // Shared per-view cone cache entry for `view` (see tangle/view_cache.hpp):
+  // every walk, confidence and rating query of the step reads it.
+  const tangle::ViewCacheEntry& cones;
+  // Shared evaluation engine (core/eval_engine.hpp): every loss probe of
+  // the step goes through it.
+  EvalEngine& eval;
   // The engine's publish-path codec (tangle/payload_codec.hpp): a
   // publishing node sends its payload through it before preparing it for
-  // the store. Null publishes the parameters as trained, like a pipeline
-  // with no stage on. Not owned; must outlive the step.
-  const tangle::PayloadPipeline* pipeline = nullptr;
+  // the store. Pass-through when no stage is on.
+  const tangle::PayloadPipeline& pipeline;
+  std::uint64_t round = 0;
+  Rng rng;
+  // Optional intra-node pool for local-training kernels. Row-partitioned,
+  // so the published parameters are bit-identical for any pool size. Null
+  // trains serially.
+  ThreadPool* kernel_pool = nullptr;
 };
 
 class NodeBehavior {
@@ -123,8 +121,8 @@ class HonestNode final : public NodeBehavior {
                                               const data::DataSplit& validation);
 
  private:
-  /// Same, probing candidate losses through `prepared` (the engine-batched
-  /// form of `validation`) when the context carries an eval engine.
+  /// Same, probing candidate losses through `prepared`, the engine-batched
+  /// form of `validation` (null when `validation` is empty).
   std::vector<tangle::TxIndex> choose_parents(
       NodeContext& context, const data::DataSplit& validation,
       const std::shared_ptr<const BatchedSplit>& prepared);

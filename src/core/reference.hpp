@@ -39,15 +39,9 @@ struct ReferenceResult {
 std::vector<tangle::TxIndex> top_priority_indices(
     std::span<const double> priorities, std::size_t take);
 
-/// Runs Algorithm 1 over `view`. The view always contains at least the
-/// genesis transaction, so a result always exists.
-ReferenceResult choose_reference(const tangle::TangleView& view,
-                                 const tangle::ModelStore& store, Rng& rng,
-                                 const ReferenceConfig& config);
-
-/// Same, scoring against a shared cone cache entry instead of recomputing
-/// the view's cones (see tangle/view_cache.hpp). Bit-identical to the
-/// direct overload for the same RNG state.
+/// Runs Algorithm 1 over `view`, scoring against `cones`, the view's cone
+/// cache entry (see tangle/view_cache.hpp). The view always contains at
+/// least the genesis transaction, so a result always exists.
 ReferenceResult choose_reference(const tangle::TangleView& view,
                                  const tangle::ModelStore& store,
                                  const tangle::ViewCacheEntry& cones, Rng& rng,

@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "nn/privacy.hpp"
@@ -488,6 +489,23 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
   return encoded;
 }
 
+namespace {
+
+/// The plain (pre-entropy) stream size a payload of `count` parameters can
+/// have: exactly 4 bytes a word when dense; at most a keep count, a scale,
+/// and an index varint plus a 4-byte value per parameter when sparse.
+std::uint64_t max_plain_size(std::uint64_t count, bool dense) {
+  constexpr std::uint64_t kMaxVarint = 10;
+  const std::uint64_t per_param = dense ? 4 : kMaxVarint + 4;
+  const std::uint64_t fixed = dense ? 0 : kMaxVarint + 4;
+  if (count > (std::numeric_limits<std::uint64_t>::max() - fixed) / per_param) {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return fixed + per_param * count;
+}
+
+}  // namespace
+
 nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
                                      std::span<const float> base) const {
   obs::TraceScope span("ledger.codec.decode", &decode_timing());
@@ -506,6 +524,15 @@ nn::ParamVector PayloadCodec::decode(const EncodedPayload& encoded,
   if ((flags & kFlagEntropy) != 0) {
     const std::uint64_t plain_size = read_varint(reader);
     const bool dense = (flags & (kFlagTopk | kFlagQuantize)) == 0;
+    // The stream's plain size is untrusted and sizes the decoder's output
+    // buffer, so check it against the parameter count before allocating.
+    // The dense word decoder also reads the delta base once per word, so
+    // there it must match exactly.
+    const std::uint64_t limit = max_plain_size(count, dense);
+    if (dense ? plain_size != limit : plain_size > limit) {
+      throw SerializeError(
+          "payload codec: plain size does not fit the parameter count");
+    }
     const std::span<const float> dense_base =
         delta_used ? base : std::span<const float>{};
     plain = dense ? entropy_decompress_words(reader.read_bytes(), plain_size,

@@ -35,28 +35,16 @@ struct TipSelectionConfig {
 /// paper) use the weighted walk; exposed for comparison experiments.
 TxIndex uniform_random_tip(const TangleView& view, Rng& rng);
 
-/// One weighted random walk over `view`; returns the reached tip.
-/// `future_cones` must be view.future_cone_sizes() (passed in so repeated
-/// walks over the same view share the computation).
-TxIndex random_walk_tip(const TangleView& view,
-                        std::span<const std::uint32_t> future_cones, Rng& rng,
-                        const TipSelectionConfig& config);
-
-/// Allocation-free walk over a prebuilt cone cache entry (see
-/// tangle/view_cache.hpp). Consumes the RNG identically to the TangleView
-/// overload, so cached and direct runs are bit-identical.
+/// One weighted random walk over the view a prebuilt cone cache entry
+/// describes (see tangle/view_cache.hpp), from the entry's root; returns
+/// the reached tip. Allocation-free apart from the branch weights.
 TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
                         const TipSelectionConfig& config);
 
-/// Runs `count` independent walks and returns the reached tips (duplicates
-/// possible — two walks may end at the same tip, and the paper allows the
-/// two chosen tips to coincide). Under kUniform the tip set is scanned
-/// once per call, not once per draw.
-std::vector<TxIndex> select_tips(const TangleView& view, std::size_t count,
-                                 Rng& rng, const TipSelectionConfig& config);
-
-/// Same, over a shared cone cache entry (no per-call cone recompute or tip
-/// scan).
+/// Runs `count` independent walks over `cones` and returns the reached tips
+/// (duplicates possible — two walks may end at the same tip, and the paper
+/// allows the two chosen tips to coincide). Under kUniform each draw picks
+/// from the entry's tip set.
 std::vector<TxIndex> select_tips(const ViewCacheEntry& cones,
                                  std::size_t count, Rng& rng,
                                  const TipSelectionConfig& config);

@@ -14,7 +14,13 @@
 namespace tanglefl::tangle {
 namespace {
 
-const char* kPath = "/tmp/tanglefl_test_checkpoint.bin";
+/// A checkpoint path private to the running test: ctest runs this file's
+/// tests as parallel processes, so one fixed path would race.
+std::string test_path(const std::string& tag = "") {
+  const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return ::testing::TempDir() + "tanglefl_" + info->test_suite_name() + "_" +
+         info->name() + tag + ".bin";
+}
 
 struct Fixture {
   ModelStore store;
@@ -39,9 +45,9 @@ TEST(Checkpoint, RoundTripPreservesLedger) {
   const TxIndex a = f.add({0}, {1.0f, 2.0f}, 1);
   f.add({0, a}, {3.0f, 4.0f}, 2);
 
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore restored_store;
-  const Tangle restored = load_ledger(kPath, restored_store);
+  const Tangle restored = load_ledger(test_path(), restored_store);
 
   ASSERT_EQ(restored.size(), f.tangle.size());
   for (TxIndex i = 0; i < restored.size(); ++i) {
@@ -49,48 +55,48 @@ TEST(Checkpoint, RoundTripPreservesLedger) {
     EXPECT_EQ(restored_store.get(restored.transaction(i).payload),
               f.store.get(f.tangle.transaction(i).payload));
   }
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, PayloadIdsStayValid) {
   Fixture f;
   f.add({0}, {5.0f}, 1);
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore restored_store;
-  const Tangle restored = load_ledger(kPath, restored_store);
+  const Tangle restored = load_ledger(test_path(), restored_store);
   // Payload handle 1 still addresses {5.0f}.
   EXPECT_EQ(restored_store.get(restored.transaction(1).payload),
             (nn::ParamVector{5.0f}));
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, BadMagicRejected) {
   {
-    std::ofstream out(kPath, std::ios::binary | std::ios::trunc);
+    std::ofstream out(test_path(), std::ios::binary | std::ios::trunc);
     out << "not a ledger at all, definitely";
   }
   ModelStore store;
-  EXPECT_THROW((void)load_ledger(kPath, store), SerializeError);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_ledger(test_path(), store), SerializeError);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, TruncatedFileRejected) {
   Fixture f;
   f.add({0}, {1.0f}, 1);
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   // Truncate the file in the middle.
   {
-    std::ifstream in(kPath, std::ios::binary | std::ios::ate);
+    std::ifstream in(test_path(), std::ios::binary | std::ios::ate);
     const auto size = static_cast<std::size_t>(in.tellg());
     in.seekg(0);
     std::vector<char> bytes(size / 2);
     in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    std::ofstream out(kPath, std::ios::binary | std::ios::trunc);
+    std::ofstream out(test_path(), std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   }
   ModelStore store;
-  EXPECT_THROW((void)load_ledger(kPath, store), SerializeError);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_ledger(test_path(), store), SerializeError);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, MissingFileThrows) {
@@ -101,11 +107,11 @@ TEST(Checkpoint, MissingFileThrows) {
 
 TEST(Checkpoint, NonEmptyStoreRejected) {
   Fixture f;
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore busy;
   busy.add({9.0f});
-  EXPECT_THROW((void)load_ledger(kPath, busy), std::invalid_argument);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_ledger(test_path(), busy), std::invalid_argument);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, DanglingPayloadIdRejected) {
@@ -116,10 +122,10 @@ TEST(Checkpoint, DanglingPayloadIdRejected) {
   const Transaction& tx = f.tangle.transaction(1);
   const std::vector<TxIndex> parents{1};
   f.tangle.add_transaction(parents, /*payload=*/99, tx.payload_hash, 2);
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore store;
-  EXPECT_THROW((void)load_ledger(kPath, store), SerializeError);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_ledger(test_path(), store), SerializeError);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, PayloadHashMismatchRejected) {
@@ -130,10 +136,10 @@ TEST(Checkpoint, PayloadHashMismatchRejected) {
   const std::vector<TxIndex> parents{1};
   f.tangle.add_transaction(parents, f.tangle.transaction(1).payload, wrong,
                            2);
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore store;
-  EXPECT_THROW((void)load_ledger(kPath, store), SerializeError);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_ledger(test_path(), store), SerializeError);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, PruneFloorRoundTrips) {
@@ -143,11 +149,11 @@ TEST(Checkpoint, PruneFloorRoundTrips) {
     last = f.add({last}, {static_cast<float>(r)}, r);
   }
   f.tangle.set_prune_floor(3);
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore store;
-  const Tangle restored = load_ledger(kPath, store);
+  const Tangle restored = load_ledger(test_path(), store);
   EXPECT_EQ(restored.prune_floor(), 3u);
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, ConeSidecarRoundTrips) {
@@ -159,13 +165,13 @@ TEST(Checkpoint, ConeSidecarRoundTrips) {
   ConeStateCheckpoint cones;
   cones.past.assign(f.tangle.size(), 7);
   cones.future.assign(f.tangle.size(), 9);
-  save_ledger(kPath, f.tangle, f.store, &cones);
+  save_ledger(test_path(), f.tangle, f.store, &cones);
   ModelStore store;
   ConeStateCheckpoint restored_cones;
-  (void)load_ledger(kPath, store, &restored_cones);
+  (void)load_ledger(test_path(), store, &restored_cones);
   EXPECT_EQ(restored_cones.past, cones.past);
   EXPECT_EQ(restored_cones.future, cones.future);
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, ConeSidecarSizeMismatchRejected) {
@@ -174,10 +180,10 @@ TEST(Checkpoint, ConeSidecarSizeMismatchRejected) {
   ConeStateCheckpoint cones;
   cones.past.assign(1, 0);  // tangle has 2 transactions
   cones.future.assign(1, 0);
-  save_ledger(kPath, f.tangle, f.store, &cones);
+  save_ledger(test_path(), f.tangle, f.store, &cones);
   ModelStore store;
-  EXPECT_THROW((void)load_ledger(kPath, store), SerializeError);
-  std::remove(kPath);
+  EXPECT_THROW((void)load_ledger(test_path(), store), SerializeError);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, ReleasedPayloadsRoundTrip) {
@@ -204,9 +210,9 @@ TEST(Checkpoint, ReleasedPayloadsRoundTrip) {
   }
   ASSERT_GT(released, 0u);
 
-  save_ledger(kPath, f.tangle, f.store);
+  save_ledger(test_path(), f.tangle, f.store);
   ModelStore store;
-  const Tangle restored = load_ledger(kPath, store);
+  const Tangle restored = load_ledger(test_path(), store);
   ASSERT_EQ(store.size(), f.store.size());
   for (PayloadId id = 0; id < store.size(); ++id) {
     EXPECT_EQ(store.is_released(id), f.store.is_released(id));
@@ -218,17 +224,17 @@ TEST(Checkpoint, ReleasedPayloadsRoundTrip) {
   EXPECT_EQ(restored.prune_floor(), 5u);
 
   // Lossless: re-saving the restored ledger is byte-identical.
-  const char* kPath2 = "/tmp/tanglefl_test_checkpoint_resave.bin";
+  const std::string kPath2 = test_path("_resave");
   save_ledger(kPath2, restored, store);
-  std::ifstream a(kPath, std::ios::binary);
+  std::ifstream a(test_path(), std::ios::binary);
   std::ifstream b(kPath2, std::ios::binary);
   const std::vector<char> bytes_a((std::istreambuf_iterator<char>(a)),
                                   std::istreambuf_iterator<char>());
   const std::vector<char> bytes_b((std::istreambuf_iterator<char>(b)),
                                   std::istreambuf_iterator<char>());
   EXPECT_EQ(bytes_a, bytes_b);
-  std::remove(kPath);
-  std::remove(kPath2);
+  std::remove(test_path().c_str());
+  std::remove(kPath2.c_str());
 }
 
 TEST(Checkpoint, SimulationLedgerRoundTrips) {
@@ -257,13 +263,13 @@ TEST(Checkpoint, SimulationLedgerRoundTrips) {
   core::TangleSimulation sim(dataset, factory, config);
   for (std::uint64_t r = 1; r <= 4; ++r) sim.run_round(r);
 
-  save_ledger(kPath, sim.tangle(), sim.store());
+  save_ledger(test_path(), sim.tangle(), sim.store());
   ModelStore restored_store;
-  const Tangle restored = load_ledger(kPath, restored_store);
+  const Tangle restored = load_ledger(test_path(), restored_store);
   ASSERT_EQ(restored.size(), sim.tangle().size());
   EXPECT_EQ(restored.view().tips(), sim.tangle().view().tips());
   EXPECT_EQ(restored_store.size(), sim.store().size());
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, ChunkedStoreLedgerRoundTrips) {
@@ -292,9 +298,9 @@ TEST(Checkpoint, ChunkedStoreLedgerRoundTrips) {
   store.release(1);
   ASSERT_GT(store.chunk_count(), 0u);
 
-  save_ledger(kPath, tangle, store);
+  save_ledger(test_path(), tangle, store);
   ModelStore restored_store;
-  const Tangle restored = load_ledger(kPath, restored_store);
+  const Tangle restored = load_ledger(test_path(), restored_store);
   ASSERT_EQ(restored.size(), tangle.size());
   EXPECT_TRUE(restored_store.chunking_enabled());
   EXPECT_EQ(restored_store.chunk_params().mask_bits, chunk_params.mask_bits);
@@ -309,8 +315,8 @@ TEST(Checkpoint, ChunkedStoreLedgerRoundTrips) {
   // Reloading re-chunks live payloads, which compacts freed slots — so the
   // first re-save may differ from the original dump. It must be a fixpoint
   // after that one normalization: save(load(save(load(x)))) == save(load(x)).
-  const char* kPath2 = "/tmp/tanglefl_test_checkpoint_chunked_resave.bin";
-  const char* kPath3 = "/tmp/tanglefl_test_checkpoint_chunked_resave2.bin";
+  const std::string kPath2 = test_path("_resave");
+  const std::string kPath3 = test_path("_resave2");
   save_ledger(kPath2, restored, restored_store);
   ModelStore second_store;
   const Tangle second = load_ledger(kPath2, second_store);
@@ -323,12 +329,12 @@ TEST(Checkpoint, ChunkedStoreLedgerRoundTrips) {
                                   std::istreambuf_iterator<char>());
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
-  std::remove(kPath);
-  std::remove(kPath2);
-  std::remove(kPath3);
+  std::remove(test_path().c_str());
+  std::remove(kPath2.c_str());
+  std::remove(kPath3.c_str());
 }
 
-void write_file(const char* path, const ByteWriter& writer) {
+void write_file(const std::string& path, const ByteWriter& writer) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   const auto& bytes = writer.bytes();
   out.write(reinterpret_cast<const char*>(bytes.data()),
@@ -351,15 +357,15 @@ TEST(Checkpoint, FlatV2DumpStillLoads) {
   }
   writer.write_u64(0);  // prune floor
   writer.write_u8(0);   // no cone sidecar
-  write_file(kPath, writer);
+  write_file(test_path(), writer);
 
   ModelStore store;
-  const Tangle restored = load_ledger(kPath, store);
+  const Tangle restored = load_ledger(test_path(), store);
   ASSERT_EQ(restored.size(), 2u);
   EXPECT_FALSE(store.chunking_enabled());
   EXPECT_EQ(store.get(restored.transaction(1).payload),
             (nn::ParamVector{1.0f, 2.0f}));
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 TEST(Checkpoint, LegacyV1DumpStillLoads) {
@@ -374,15 +380,15 @@ TEST(Checkpoint, LegacyV1DumpStillLoads) {
   for (PayloadId id = 0; id < f.store.size(); ++id) {
     writer.write_f32_span(f.store.get(id));
   }
-  write_file(kPath, writer);
+  write_file(test_path(), writer);
 
   ModelStore store;
-  const Tangle restored = load_ledger(kPath, store);
+  const Tangle restored = load_ledger(test_path(), store);
   ASSERT_EQ(restored.size(), 2u);
   EXPECT_EQ(restored.prune_floor(), 0u);
   EXPECT_EQ(store.get(restored.transaction(1).payload),
             (nn::ParamVector{3.0f}));
-  std::remove(kPath);
+  std::remove(test_path().c_str());
 }
 
 // --- pruned-ledger round trips through every engine ---------------------
@@ -411,8 +417,8 @@ nn::ModelFactory engine_factory() {
 /// prune frontier and payload tombstones included.
 void expect_pruned_ledger_round_trips(const Tangle& tangle,
                                       const ModelStore& store) {
-  const char* path_a = "/tmp/tanglefl_test_ckpt_engine_a.bin";
-  const char* path_b = "/tmp/tanglefl_test_ckpt_engine_b.bin";
+  const std::string path_a = test_path("_a");
+  const std::string path_b = test_path("_b");
   save_ledger(path_a, tangle, store);
   ModelStore restored_store;
   const Tangle restored = load_ledger(path_a, restored_store);
@@ -435,8 +441,8 @@ void expect_pruned_ledger_round_trips(const Tangle& tangle,
                                   std::istreambuf_iterator<char>());
   ASSERT_FALSE(bytes_a.empty());
   EXPECT_EQ(bytes_a, bytes_b);
-  std::remove(path_a);
-  std::remove(path_b);
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
 }
 
 TEST(Checkpoint, PrunedSimulationLedgerRoundTrips) {

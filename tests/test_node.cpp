@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/eval_engine.hpp"
 #include "nn/model_zoo.hpp"
 #include "tangle/model_store.hpp"
+#include "tangle/payload_codec.hpp"
 
 namespace tanglefl::core {
 namespace {
@@ -32,6 +36,10 @@ struct Fixture {
   ModelStore store;
   Tangle tangle;
   data::UserData user;
+  EvalEngine eval{factory};
+  tangle::PayloadPipeline pipeline{tangle::PayloadCodecConfig{}};
+  // Cone entries of every context handed out; contexts hold references.
+  std::vector<std::shared_ptr<const tangle::ViewCacheEntry>> cones;
 
   Fixture() : tangle(make_genesis(store, factory)) {
     Rng rng(100);
@@ -82,7 +90,9 @@ struct Fixture {
 
   NodeContext context(std::uint64_t round, const tangle::TangleView& view,
                       std::uint64_t seed = 9) {
-    return NodeContext{view, store, factory, round, Rng(seed)};
+    cones.push_back(tangle::ViewCacheEntry::build(view));
+    return NodeContext{view,     store, factory, *cones.back(), eval,
+                       pipeline, round, Rng(seed)};
   }
 };
 

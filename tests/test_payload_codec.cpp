@@ -193,6 +193,69 @@ TEST(PayloadCodec, TopkKeepsRequestedFraction) {
   EXPECT_GT(moved, 0u);
 }
 
+// ------------------------------------------------------------ hostile input
+
+/// Re-emits an entropy-coded payload with its plain-size varint (the third
+/// header field, after the flags byte and the parameter count) replaced.
+EncodedPayload with_plain_size(const EncodedPayload& encoded,
+                               std::uint64_t plain_size) {
+  std::size_t pos = 1;
+  const auto skip_varint = [&] {
+    while (encoded.bytes.at(pos) & 0x80u) ++pos;
+    ++pos;
+  };
+  skip_varint();  // parameter count
+  const std::size_t size_start = pos;
+  skip_varint();  // plain size
+  EncodedPayload out;
+  out.param_count = encoded.param_count;
+  out.bytes.assign(encoded.bytes.begin(),
+                   encoded.bytes.begin() +
+                       static_cast<std::ptrdiff_t>(size_start));
+  do {
+    std::uint8_t byte = plain_size & 0x7fu;
+    plain_size >>= 7;
+    if (plain_size != 0) byte |= 0x80u;
+    out.bytes.push_back(byte);
+  } while (plain_size != 0);
+  out.bytes.insert(out.bytes.end(),
+                   encoded.bytes.begin() + static_cast<std::ptrdiff_t>(pos),
+                   encoded.bytes.end());
+  return out;
+}
+
+TEST(PayloadCodec, DenseDeltaRejectsInflatedPlainSize) {
+  // A 64-float delta,entropy payload declares 256 plain bytes; at 512 the
+  // word decoder would read the 64-float delta base out of bounds.
+  const CodecFixture f(64);
+  const PayloadCodec codec(parse_codec_spec("delta,entropy"));
+  const EncodedPayload encoded = codec.encode(f.params, f.base);
+  ASSERT_TRUE(bit_equal(codec.decode(encoded, f.base), f.params));
+  EXPECT_EQ(encoded.bytes.at(2), 0x80u);  // varint 256 = 0x80 0x02
+  EXPECT_EQ(encoded.bytes.at(3), 0x02u);
+  for (const std::uint64_t size : {512ull, 255ull, 0ull, 1ull << 40}) {
+    EXPECT_THROW((void)codec.decode(with_plain_size(encoded, size), f.base),
+                 SerializeError)
+        << "plain size " << size;
+  }
+}
+
+TEST(PayloadCodec, SparseRejectsPlainSizeBeyondParameterBound) {
+  // The sparse stages size their output buffer from the same varint, so a
+  // huge value is a decompression bomb unless bounded by the count.
+  const CodecFixture f(64);
+  for (const char* spec : {"topk,entropy", "quantize,entropy",
+                           "delta,topk,quantize,entropy"}) {
+    const PayloadCodec codec(parse_codec_spec(spec));
+    const EncodedPayload encoded = codec.encode(f.params, f.base);
+    (void)codec.decode(encoded, f.base);
+    EXPECT_THROW(
+        (void)codec.decode(with_plain_size(encoded, 1ull << 40), f.base),
+        SerializeError)
+        << spec;
+  }
+}
+
 // ---------------------------------------------------------------- spec parse
 
 TEST(CodecSpec, OffAndDefaultPresets) {

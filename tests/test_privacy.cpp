@@ -5,8 +5,11 @@
 #include <cmath>
 #include <limits>
 
+#include "core/eval_engine.hpp"
 #include "core/node.hpp"
 #include "nn/model_zoo.hpp"
+#include "tangle/payload_codec.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::nn {
 namespace {
@@ -199,7 +202,11 @@ TEST(PrivacyNodeIntegration, DpNodeStillPublishesAndImproves) {
 
   core::HonestNode node(config);
   const tangle::TangleView view = tangle.view();
-  core::NodeContext context{view, store, factory, 1, Rng(3)};
+  const auto cones = tangle::ViewCacheEntry::build(view);
+  core::EvalEngine eval(factory);
+  const tangle::PayloadPipeline pipeline{tangle::PayloadCodecConfig{}};
+  core::NodeContext context{view, store, factory, *cones, eval,
+                            pipeline, 1, Rng(3)};
   const auto publish = node.step(context, user);
   ASSERT_TRUE(publish.has_value());
   // Published parameters differ from the base by at most clip + noise.
@@ -237,7 +244,11 @@ TEST(PrivacyNodeIntegration, QuantizedNodePublishesQuantizedGrid) {
 
   core::HonestNode node(config);
   const tangle::TangleView view = tangle.view();
-  core::NodeContext context{view, store, factory, 1, Rng(3)};
+  const auto cones = tangle::ViewCacheEntry::build(view);
+  core::EvalEngine eval(factory);
+  const tangle::PayloadPipeline pipeline{tangle::PayloadCodecConfig{}};
+  core::NodeContext context{view, store, factory, *cones, eval,
+                            pipeline, 1, Rng(3)};
   const auto publish = node.step(context, user);
   ASSERT_TRUE(publish.has_value());
   // Every published value lies exactly on an 8-bit grid.

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "tangle/model_store.hpp"
+#include "tangle/view_cache.hpp"
 
 namespace tanglefl::core {
 namespace {
@@ -33,11 +34,19 @@ struct Fixture {
   }
 };
 
+/// Algorithm 1 over a freshly built cone cache entry for `view`.
+ReferenceResult reference_of(const tangle::TangleView& view,
+                             const ModelStore& store, Rng& rng,
+                             const ReferenceConfig& config) {
+  return choose_reference(view, store, *tangle::ViewCacheEntry::build(view),
+                          rng, config);
+}
+
 TEST(Reference, GenesisOnlyReturnsGenesisPayload) {
   Fixture f;
   Rng rng(1);
   const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, {});
+      reference_of(f.tangle.view(), f.store, rng, {});
   ASSERT_EQ(result.transactions.size(), 1u);
   EXPECT_EQ(result.transactions[0], 0u);
   EXPECT_EQ(result.params, (nn::ParamVector{0.0f, 0.0f}));
@@ -54,7 +63,7 @@ TEST(Reference, PicksDeepConsensusTransaction) {
   }
   Rng rng(2);
   const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, {});
+      reference_of(f.tangle.view(), f.store, rng, {});
   EXPECT_EQ(result.transactions[0], tip);
   EXPECT_EQ(result.params[0], 5.0f);
 }
@@ -73,7 +82,7 @@ TEST(Reference, AbandonedBranchLosesToConsensusBranch) {
   config.confidence.sample_rounds = 64;
   config.confidence.tip_selection.alpha = 1.0;  // favor the heavy branch
   const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, config);
+      reference_of(f.tangle.view(), f.store, rng, config);
   EXPECT_NE(result.transactions[0], orphan);
   EXPECT_EQ(result.params[0], 6.0f);
 }
@@ -89,7 +98,7 @@ TEST(Reference, TopNAveragesPayloads) {
   ReferenceConfig config;
   config.num_reference_models = 2;
   const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, config);
+      reference_of(f.tangle.view(), f.store, rng, config);
   ASSERT_EQ(result.transactions.size(), 2u);
   // Top two by confidence * rating are the two newest chain elements.
   EXPECT_EQ(result.params[0], (4.0f + 3.0f) / 2.0f);
@@ -102,7 +111,7 @@ TEST(Reference, TopNClampedToViewSize) {
   ReferenceConfig config;
   config.num_reference_models = 50;
   const ReferenceResult result =
-      choose_reference(f.tangle.view(), f.store, rng, config);
+      reference_of(f.tangle.view(), f.store, rng, config);
   EXPECT_EQ(result.transactions.size(), 2u);  // genesis + one transaction
 }
 
@@ -112,8 +121,8 @@ TEST(Reference, DeterministicInRng) {
     f.add({0}, {static_cast<float>(i), 0.0f}, 1);
   }
   Rng rng_a(6), rng_b(6);
-  const ReferenceResult a = choose_reference(f.tangle.view(), f.store, rng_a, {});
-  const ReferenceResult b = choose_reference(f.tangle.view(), f.store, rng_b, {});
+  const ReferenceResult a = reference_of(f.tangle.view(), f.store, rng_a, {});
+  const ReferenceResult b = reference_of(f.tangle.view(), f.store, rng_b, {});
   EXPECT_EQ(a.transactions, b.transactions);
   EXPECT_EQ(a.params, b.params);
 }
@@ -153,7 +162,7 @@ TEST(Reference, RespectsViewPrefix) {
   const TxIndex a = f.add({0}, {1.0f, 0.0f}, 1);
   f.add({a}, {2.0f, 0.0f}, 2);
   Rng rng(7);
-  const ReferenceResult result = choose_reference(
+  const ReferenceResult result = reference_of(
       f.tangle.view_prefix(2), f.store, rng, {});
   EXPECT_LE(result.transactions[0], 1u);
   EXPECT_NE(result.params[0], 2.0f);

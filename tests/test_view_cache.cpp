@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.hpp"
+#include "tangle_view_oracle.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "tangle/confidence.hpp"
@@ -165,7 +166,7 @@ TEST(ViewCacheEntry, WalksConsumeRngIdenticallyToDirectPath) {
   Rng cached_rng(42);
   const std::vector<std::uint32_t> future = view.future_cone_sizes();
   for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(random_walk_tip(view, future, direct_rng, config),
+    EXPECT_EQ(oracle::random_walk_tip(view, future, direct_rng, config),
               random_walk_tip(*entry, cached_rng, config));
   }
   // Post-condition: both consumed the same stream prefix.
@@ -184,7 +185,7 @@ TEST(ViewCacheEntry, SelectTipsMatchesDirectPath) {
     config.method = method;
     Rng direct_rng(7);
     Rng cached_rng(7);
-    EXPECT_EQ(select_tips(view, 9, direct_rng, config),
+    EXPECT_EQ(oracle::select_tips(view, 9, direct_rng, config),
               select_tips(*entry, 9, cached_rng, config));
   }
 }
@@ -198,13 +199,13 @@ TEST(ViewCacheEntry, ConfidencesAndRatingsMatchDirectPath) {
   config.sample_rounds = 12;
   Rng direct_rng(3);
   Rng cached_rng(3);
-  const auto direct = compute_confidences(view, direct_rng, config);
+  const auto direct = oracle::compute_confidences(view, direct_rng, config);
   const auto cached = compute_confidences(view, *entry, cached_rng, config);
   ASSERT_EQ(direct.size(), cached.size());
   for (std::size_t i = 0; i < direct.size(); ++i) {
     EXPECT_DOUBLE_EQ(direct[i], cached[i]);
   }
-  const auto direct_ratings = compute_ratings(view);
+  const auto direct_ratings = oracle::compute_ratings(view);
   const auto cached_ratings = compute_ratings(*entry);
   ASSERT_EQ(direct_ratings.size(), cached_ratings.size());
   for (std::size_t i = 0; i < direct_ratings.size(); ++i) {
