@@ -28,12 +28,6 @@ struct EvalFixture {
   data::DataSplit split;
 };
 
-core::EvalEngineConfig no_cache_config() {
-  core::EvalEngineConfig config;
-  config.use_cache = false;
-  return config;
-}
-
 // FEMNIST shape: 28x28 grayscale, 62 classes (Table I).
 EvalFixture make_cnn_fixture(std::size_t samples) {
   EvalFixture fixture;
@@ -111,11 +105,11 @@ void BM_ParamsLossColdLSTM(benchmark::State& state) {
 BENCHMARK(BM_ParamsLossColdLSTM)->Unit(benchmark::kMillisecond);
 
 // Engine probe without cache reuse: pooled model instance + pre-batched
-// split, but a full forward sweep per iteration (cache disabled so every
-// probe pays its forwards, isolating the pool + batching win).
+// split, but a full forward sweep per iteration (acquire + evaluate never
+// consults the result cache, isolating the pool + batching win).
 void params_loss_pooled_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
-  core::EvalEngine engine(fixture.factory, no_cache_config());
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   for (auto _ : state) {
     core::EvalEngine::ModelLease lease = engine.acquire();
@@ -140,7 +134,7 @@ BENCHMARK(BM_ParamsLossPooledLSTM)->Unit(benchmark::kMillisecond);
 // candidate tips were already scored in earlier rounds.
 void eval_cache_hit_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
-  core::EvalEngine engine(fixture.factory, core::EvalEngineConfig{});
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   const core::ParamsKey key{{42}};
   engine.params_eval(key, fixture.params, *prepared);  // warm the cache
@@ -166,10 +160,11 @@ BENCHMARK(BM_EvalCacheHitLSTM);
 // Robust tip selection's per-step workload: k same-architecture candidate
 // models scored on the paper CNN shape. Cold is the pre-engine path per
 // candidate; SerialMiss is the pre-batching engine path (one standalone
-// pooled forward per candidate, cache disabled so every probe pays its
-// forwards); Fused is one evaluate_many group, which shares each batch's
-// conv im2col + panel pack across the k models and drives the k×batches
-// grid through a kernel ThreadPool. All three produce bit-identical losses.
+// pooled forward per candidate); Fused is one evaluate_many group of
+// keyless requests, which shares each batch's conv im2col + panel pack
+// across the k models and drives the k×batches grid through a kernel
+// ThreadPool. Neither consults the result cache, so every iteration pays
+// its forwards. All three produce bit-identical losses.
 
 std::vector<nn::ParamVector> make_candidates(const EvalFixture& fixture,
                                              std::size_t k) {
@@ -206,15 +201,14 @@ void BM_MultiEvalSerialMiss(benchmark::State& state) {
   const EvalFixture fixture = make_cnn_fixture(64);
   const auto candidates =
       make_candidates(fixture, static_cast<std::size_t>(state.range(0)));
-  core::EvalEngine engine(fixture.factory, no_cache_config());
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   for (auto _ : state) {
     double sum = 0.0;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      sum += engine
-                 .params_eval(core::ParamsKey::single(1000 + i),
-                              candidates[i], *prepared)
-                 .result.loss;
+    for (const auto& params : candidates) {
+      core::EvalEngine::ModelLease lease = engine.acquire();
+      lease.model().set_parameters(params);
+      sum += engine.evaluate(lease.model(), *prepared).loss;
     }
     benchmark::DoNotOptimize(sum);
   }
@@ -230,13 +224,12 @@ void BM_MultiEvalFused(benchmark::State& state) {
   const EvalFixture fixture = make_cnn_fixture(64);
   const auto candidates =
       make_candidates(fixture, static_cast<std::size_t>(state.range(0)));
-  core::EvalEngine engine(fixture.factory, no_cache_config());
+  core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
   ThreadPool pool;  // hardware concurrency, as the sim harness kernel pool
   std::vector<core::EvalRequest> requests(candidates.size());
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    requests[i].params = candidates[i];
-    requests[i].key = core::ParamsKey::single(1000 + i);
+    requests[i].params = candidates[i];  // keyless: never a cache hit
   }
   for (auto _ : state) {
     double sum = 0.0;

@@ -131,10 +131,10 @@ void BM_LstmTrainStep(benchmark::State& state) {
 BENCHMARK(BM_LstmTrainStep);
 
 // -------- paper-shape train steps (FEMNIST CNN, Shakespeare LSTM) --------
-// arg = kernel-pool workers (0 = serial); the *Reference variants run the
-// pre-optimization ops::reference loops for the speedup baseline.
+// arg = kernel-pool workers (0 = serial).
 
-void cnn_train_step_loop(benchmark::State& state, std::size_t workers) {
+void BM_TrainStepCNN(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
   nn::ImageCnnConfig config;
   config.image_size = 28;  // FEMNIST shape, Table I batch size 10
   config.num_classes = 62;
@@ -158,21 +158,11 @@ void cnn_train_step_loop(benchmark::State& state, std::size_t workers) {
   }
   model.set_kernel_pool(nullptr);
 }
-
-void BM_TrainStepCNN(benchmark::State& state) {
-  cnn_train_step_loop(state, static_cast<std::size_t>(state.range(0)));
-}
 BENCHMARK(BM_TrainStepCNN)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 
-void BM_TrainStepCNNReference(benchmark::State& state) {
-  nn::ops::set_reference_kernels(true);
-  cnn_train_step_loop(state, 0);
-  nn::ops::set_reference_kernels(false);
-}
-BENCHMARK(BM_TrainStepCNNReference)->Unit(benchmark::kMillisecond);
-
-void lstm_train_step_loop(benchmark::State& state, std::size_t workers) {
+void BM_TrainStepLSTM(benchmark::State& state) {
+  const auto workers = static_cast<std::size_t>(state.range(0));
   nn::CharLstmConfig config;
   config.vocab_size = 80;  // Shakespeare shape: seq 80, hidden 256
   config.seq_length = 80;
@@ -199,19 +189,8 @@ void lstm_train_step_loop(benchmark::State& state, std::size_t workers) {
   }
   model.set_kernel_pool(nullptr);
 }
-
-void BM_TrainStepLSTM(benchmark::State& state) {
-  lstm_train_step_loop(state, static_cast<std::size_t>(state.range(0)));
-}
 BENCHMARK(BM_TrainStepLSTM)->Arg(0)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TrainStepLSTMReference(benchmark::State& state) {
-  nn::ops::set_reference_kernels(true);
-  lstm_train_step_loop(state, 0);
-  nn::ops::set_reference_kernels(false);
-}
-BENCHMARK(BM_TrainStepLSTMReference)->Unit(benchmark::kMillisecond);
 
 void BM_ParamAverage(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

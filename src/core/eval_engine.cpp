@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstring>
-#include <stdexcept>
 #include <utility>
 
 #include "nn/layer.hpp"
@@ -147,6 +146,29 @@ BatchScore score_batch(const nn::Tensor& logits,
   return score;
 }
 
+/// Reduces one model's per-batch scores in ascending batch order: the
+/// data::evaluate accumulation chain (per-batch mean loss scaled by the
+/// batch count, summed in double), bit-for-bit.
+data::EvalResult reduce_scores(std::span<const BatchScore> scores,
+                               const BatchedSplit& batched) {
+  double loss_sum = 0.0;
+  std::size_t correct = 0;
+  for (std::size_t b = 0; b < scores.size(); ++b) {
+    const std::size_t count = batched.labels(b).size();
+    loss_sum +=
+        static_cast<double>(scores[b].loss) * static_cast<double>(count);
+    correct += scores[b].correct;
+    forward_counter().increment();
+    example_counter().add(count);
+  }
+  data::EvalResult result;
+  result.samples = batched.samples();
+  result.loss = loss_sum / static_cast<double>(batched.samples());
+  result.accuracy =
+      static_cast<double>(correct) / static_cast<double>(batched.samples());
+  return result;
+}
+
 void run_tasks(ThreadPool* pool, std::size_t n,
                const std::function<void(std::size_t)>& body) {
   if (pool == nullptr) {
@@ -156,39 +178,145 @@ void run_tasks(ThreadPool* pool, std::size_t n,
   }
 }
 
-/// The default backend: pooled nn::Model instances running the ops kernels.
-/// eval() is exactly the pre-batched standalone probe; eval_many() fuses a
-/// group by sharing each activation batch's conv im2col + panel pack across
-/// every model (the per-model weight packs and reduction chains are
-/// untouched, so each model's result is bit-identical to its solo eval) and
-/// driving the k×batches grid through the kernel pool — one leased instance
-/// per model, because layers cache activations and a single instance cannot
-/// run two batches concurrently.
-class ModelEvalBackend final : public EvalBackend {
- public:
-  explicit ModelEvalBackend(EvalEngine& engine) : engine_(engine) {}
+}  // namespace
 
-  data::EvalResult eval(std::span<const float> params,
-                        const BatchedSplit& batched, ThreadPool* pool) override {
-    (void)pool;  // Single probe: kernels stay serial, as the probe sites did.
-    EvalEngine::ModelLease lease = engine_.acquire();
-    lease.model().set_parameters(params);
-    return engine_.evaluate(lease.model(), batched);
+ParamsKey::ParamsKey() : ParamsKey(std::vector<tangle::PayloadId>{}) {}
+
+ParamsKey::ParamsKey(std::vector<tangle::PayloadId> payloads)
+    : payloads_(std::move(payloads)),
+      hash_(fnv1a(payloads_.data(),
+                  payloads_.size() * sizeof(tangle::PayloadId), kFnvBasis)) {}
+
+BatchedSplit::BatchedSplit(const data::DataSplit& split, SplitKey key)
+    : key_(key), samples_(split.size()) {
+  constexpr std::size_t batch_size = data::kEvalBatchSize;
+  features_.reserve((samples_ + batch_size - 1) / batch_size);
+  labels_.reserve(features_.capacity());
+  // Batch boundaries replicate data::evaluate exactly: [start, start+count)
+  // for start = 0, batch_size, 2*batch_size, ...
+  for (std::size_t start = 0; start < samples_; start += batch_size) {
+    const std::size_t count = std::min(batch_size, samples_ - start);
+    data::DataSplit batch = split.slice(start, count);
+    bytes_ += batch.features.size() * sizeof(float) +
+              batch.labels.size() * sizeof(std::int32_t);
+    features_.push_back(std::move(batch.features));
+    labels_.push_back(std::move(batch.labels));
   }
+}
 
-  void eval_many(std::span<const std::span<const float>> params,
-                 const BatchedSplit& batched,
-                 std::span<data::EvalResult> results,
-                 ThreadPool* pool) override;
+EvalEngine::EvalEngine(nn::ModelFactory factory, EvalEngineConfig config)
+    : factory_(std::move(factory)),
+      config_(std::move(config)),
+      shards_(std::make_unique<Shard[]>(kShards)) {
+  assert(factory_);
+}
 
- private:
-  EvalEngine& engine_;
-};
+EvalEngine::ModelLease::~ModelLease() {
+  if (engine_ != nullptr) engine_->release(std::move(model_));
+}
 
-void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
-                                 const BatchedSplit& batched,
-                                 std::span<data::EvalResult> results,
-                                 ThreadPool* pool) {
+EvalEngine::ModelLease EvalEngine::acquire() {
+  std::unique_ptr<nn::Model> model;
+  {
+    const MutexLock lock(pool_mutex_);
+    if (!pool_.empty()) {
+      model = std::move(pool_.back());
+      pool_.pop_back();
+    } else {
+      ++models_created_;
+    }
+  }
+  // Factory runs outside the lock; the slot was already accounted for.
+  if (model == nullptr) model = std::make_unique<nn::Model>(factory_());
+  return ModelLease(this, std::move(model));
+}
+
+void EvalEngine::release(std::unique_ptr<nn::Model> model) {
+  const MutexLock lock(pool_mutex_);
+  pool_.push_back(std::move(model));
+}
+
+std::shared_ptr<const BatchedSplit> EvalEngine::find_split(
+    const SplitKey& key) {
+  for (SplitSlot& slot : splits_) {
+    if (slot.batched->key() == key) {
+      slot.last_used = ++split_tick_;
+      return slot.batched;
+    }
+  }
+  return nullptr;
+}
+
+std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
+    const data::DataSplit& split) {
+  assert(!split.empty());
+  const SplitKey key = split_key_of(split);
+  {
+    const MutexLock lock(split_mutex_);
+    if (auto resident = find_split(key)) {
+      split_reuse_counter().increment();
+      return resident;
+    }
+  }
+  split_build_counter().increment();
+  auto batched = std::make_shared<const BatchedSplit>(split, key);
+
+  // Evicted splits are parked here and freed after the lock releases: a
+  // pooled-test split can be tens of MB, and running its destructor under
+  // split_mutex_ would block every concurrent probe's prepare().
+  std::vector<std::shared_ptr<const BatchedSplit>> evicted;
+  {
+    const MutexLock lock(split_mutex_);
+    // Another thread may have inserted the same contents while we
+    // gathered; prefer the resident copy so probes share one instance.
+    if (auto resident = find_split(key)) return resident;
+    splits_.push_back(SplitSlot{batched, ++split_tick_});
+    split_bytes_ += batched->bytes();
+    // Evict least-recently-used entries over budget, always keeping the
+    // newest (linear scan over a small vector — no unordered iteration).
+    while (split_bytes_ > config_.batched_budget_bytes && splits_.size() > 1) {
+      std::size_t oldest = 0;
+      for (std::size_t i = 1; i < splits_.size(); ++i) {
+        if (splits_[i].last_used < splits_[oldest].last_used) oldest = i;
+      }
+      split_bytes_ -= splits_[oldest].batched->bytes();
+      evicted.push_back(std::move(splits_[oldest].batched));
+      splits_.erase(splits_.begin() + static_cast<std::ptrdiff_t>(oldest));
+    }
+  }
+  return batched;
+}
+
+data::EvalResult EvalEngine::evaluate(nn::Model& model,
+                                      const BatchedSplit& batched) {
+  obs::TraceScope span("eval.forward", &eval_us_histogram());
+  if (batched.samples() == 0) return data::EvalResult{};
+  std::vector<BatchScore> scores(batched.batch_count());
+  for (std::size_t b = 0; b < scores.size(); ++b) {
+    scores[b] = score_batch(
+        model.forward(batched.features(b), /*training=*/false),
+        batched.labels(b));
+  }
+  return reduce_scores(scores, batched);
+}
+
+data::EvalResult EvalEngine::eval_one(std::span<const float> params,
+                                      const BatchedSplit& batched) {
+  ModelLease lease = acquire();
+  lease.model().set_parameters(params);
+  return evaluate(lease.model(), batched);
+}
+
+// The fused pass shares each activation batch's conv im2col + panel pack
+// across every model (the per-model weight packs and reduction chains are
+// untouched, so each model's result is bit-identical to its solo eval) and
+// drives the k×batches grid through the kernel pool — one leased instance
+// per model, because layers cache activations and a single instance cannot
+// run two batches concurrently.
+void EvalEngine::eval_many(std::span<const std::span<const float>> params,
+                           const BatchedSplit& batched,
+                           std::span<data::EvalResult> results,
+                           ThreadPool* pool) {
   const std::size_t k = params.size();
   assert(results.size() >= k);
   if (k == 0) return;
@@ -196,21 +324,18 @@ void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
     for (std::size_t i = 0; i < k; ++i) results[i] = data::EvalResult{};
     return;
   }
-  // The reference-kernel dispatch has no prepacked form, and a lone model
-  // has nothing to share; both take the standalone path.
-  if (k == 1 || nn::ops::reference_kernels_enabled()) {
-    for (std::size_t i = 0; i < k; ++i) {
-      results[i] = eval(params[i], batched, pool);
-    }
+  // A lone model has nothing to share: take the standalone path.
+  if (k == 1) {
+    results[0] = eval_one(params[0], batched);
     return;
   }
 
   obs::TraceScope span("eval.forward", &eval_us_histogram());
   const std::size_t batches = batched.batch_count();
-  std::vector<EvalEngine::ModelLease> leases;
+  std::vector<ModelLease> leases;
   leases.reserve(k);
   for (std::size_t i = 0; i < k; ++i) {
-    leases.push_back(engine_.acquire());
+    leases.push_back(acquire());
     leases.back().model().set_parameters(params[i]);
   }
 
@@ -262,216 +387,16 @@ void ModelEvalBackend::eval_many(std::span<const std::span<const float>> params,
   // Serial reduction in (model, batch) order: the same double-precision
   // chain and counter totals as k standalone evaluate() calls.
   for (std::size_t i = 0; i < k; ++i) {
-    double loss_sum = 0.0;
-    std::size_t correct = 0;
-    for (std::size_t b = 0; b < batches; ++b) {
-      const std::span<const std::int32_t> labels = batched.labels(b);
-      loss_sum += static_cast<double>(grid[i * batches + b].loss) *
-                  static_cast<double>(labels.size());
-      correct += grid[i * batches + b].correct;
-      forward_counter().increment();
-      example_counter().add(labels.size());
-    }
-    results[i].samples = batched.samples();
-    results[i].loss = loss_sum / static_cast<double>(batched.samples());
-    results[i].accuracy =
-        static_cast<double>(correct) / static_cast<double>(batched.samples());
+    results[i] = reduce_scores(
+        std::span<const BatchScore>(grid).subspan(i * batches, batches),
+        batched);
   }
-}
-
-}  // namespace
-
-void EvalBackend::eval_many(std::span<const std::span<const float>> params,
-                            const BatchedSplit& batched,
-                            std::span<data::EvalResult> results,
-                            ThreadPool* pool) {
-  assert(results.size() >= params.size());
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    results[i] = eval(params[i], batched, pool);
-  }
-}
-
-ParamsKey::ParamsKey() : ParamsKey(std::vector<tangle::PayloadId>{}) {}
-
-ParamsKey::ParamsKey(std::vector<tangle::PayloadId> payloads)
-    : payloads_(std::move(payloads)),
-      hash_(fnv1a(payloads_.data(),
-                  payloads_.size() * sizeof(tangle::PayloadId), kFnvBasis)) {}
-
-BatchedSplit::BatchedSplit(const data::DataSplit& split,
-                           std::size_t batch_size, SplitKey key)
-    : key_(key), samples_(split.size()) {
-  assert(batch_size > 0);
-  features_.reserve((samples_ + batch_size - 1) / batch_size);
-  labels_.reserve(features_.capacity());
-  // Batch boundaries replicate data::evaluate exactly: [start, start+count)
-  // for start = 0, batch_size, 2*batch_size, ...
-  for (std::size_t start = 0; start < samples_; start += batch_size) {
-    const std::size_t count = std::min(batch_size, samples_ - start);
-    data::DataSplit batch = split.slice(start, count);
-    bytes_ += batch.features.size() * sizeof(float) +
-              batch.labels.size() * sizeof(std::int32_t);
-    features_.push_back(std::move(batch.features));
-    labels_.push_back(std::move(batch.labels));
-  }
-}
-
-EvalEngine::EvalEngine(nn::ModelFactory factory, EvalEngineConfig config)
-    : factory_(std::move(factory)),
-      config_(std::move(config)),
-      shards_(std::make_unique<Shard[]>(kShards)) {
-  assert(factory_);
-  // Cached results are a pure function of (params, split, batch
-  // boundaries); a divergent batch size would silently make cached and
-  // direct evaluations disagree, so reject it outright.
-  if (config_.batch_size != data::kEvalBatchSize) {
-    throw std::invalid_argument(
-        "EvalEngineConfig::batch_size must equal data::kEvalBatchSize so "
-        "cached and direct evaluations share batch boundaries");
-  }
-  backend_ = config_.backend_factory != nullptr
-                 ? config_.backend_factory(*this)
-                 : std::make_unique<ModelEvalBackend>(*this);
-}
-
-EvalEngine::ModelLease::~ModelLease() {
-  if (engine_ != nullptr) engine_->release(std::move(model_));
-}
-
-EvalEngine::ModelLease EvalEngine::acquire() {
-  std::unique_ptr<nn::Model> model;
-  {
-    const MutexLock lock(pool_mutex_);
-    if (!pool_.empty()) {
-      model = std::move(pool_.back());
-      pool_.pop_back();
-    } else {
-      ++models_created_;
-    }
-  }
-  // Factory runs outside the lock; the slot was already accounted for.
-  if (model == nullptr) model = std::make_unique<nn::Model>(factory_());
-  return ModelLease(this, std::move(model));
-}
-
-void EvalEngine::release(std::unique_ptr<nn::Model> model) {
-  const MutexLock lock(pool_mutex_);
-  pool_.push_back(std::move(model));
-}
-
-std::shared_ptr<const BatchedSplit> EvalEngine::find_split(
-    const SplitKey& key) {
-  for (SplitSlot& slot : splits_) {
-    if (slot.batched->key() == key) {
-      slot.last_used = ++split_tick_;
-      return slot.batched;
-    }
-  }
-  return nullptr;
-}
-
-std::shared_ptr<const BatchedSplit> EvalEngine::prepare(
-    const data::DataSplit& split) {
-  assert(!split.empty());
-  const SplitKey key = split_key_of(split);
-  if (config_.use_cache) {
-    const MutexLock lock(split_mutex_);
-    if (auto resident = find_split(key)) {
-      split_reuse_counter().increment();
-      return resident;
-    }
-  }
-  split_build_counter().increment();
-  auto batched =
-      std::make_shared<const BatchedSplit>(split, config_.batch_size, key);
-  if (!config_.use_cache) return batched;
-
-  // Evicted splits are parked here and freed after the lock releases: a
-  // pooled-test split can be tens of MB, and running its destructor under
-  // split_mutex_ would block every concurrent probe's prepare().
-  std::vector<std::shared_ptr<const BatchedSplit>> evicted;
-  {
-    const MutexLock lock(split_mutex_);
-    // Another thread may have inserted the same contents while we
-    // gathered; prefer the resident copy so probes share one instance.
-    if (auto resident = find_split(key)) return resident;
-    splits_.push_back(SplitSlot{batched, ++split_tick_});
-    split_bytes_ += batched->bytes();
-    // Evict least-recently-used entries over budget, always keeping the
-    // newest (linear scan over a small vector — no unordered iteration).
-    while (split_bytes_ > config_.batched_budget_bytes && splits_.size() > 1) {
-      std::size_t oldest = 0;
-      for (std::size_t i = 1; i < splits_.size(); ++i) {
-        if (splits_[i].last_used < splits_[oldest].last_used) oldest = i;
-      }
-      split_bytes_ -= splits_[oldest].batched->bytes();
-      evicted.push_back(std::move(splits_[oldest].batched));
-      splits_.erase(splits_.begin() + static_cast<std::ptrdiff_t>(oldest));
-    }
-  }
-  return batched;
-}
-
-data::EvalResult EvalEngine::evaluate(nn::Model& model,
-                                      const BatchedSplit& batched) {
-  obs::TraceScope span("eval.forward", &eval_us_histogram());
-  data::EvalResult result;
-  if (batched.samples() == 0) return result;
-
-  // Accumulation order matches data::evaluate bit-for-bit: per-batch mean
-  // loss scaled by the batch count, summed in double over batches in order.
-  double loss_sum = 0.0;
-  std::size_t correct = 0;
-  for (std::size_t b = 0; b < batched.batch_count(); ++b) {
-    const nn::Tensor logits =
-        model.forward(batched.features(b), /*training=*/false);
-    const std::span<const std::int32_t> labels = batched.labels(b);
-    loss_sum +=
-        static_cast<double>(nn::softmax_cross_entropy_loss(logits, labels)) *
-        static_cast<double>(labels.size());
-    for (std::size_t row = 0; row < labels.size(); ++row) {
-      if (logits.argmax_row(row) == static_cast<std::size_t>(labels[row])) {
-        ++correct;
-      }
-    }
-    forward_counter().increment();
-    example_counter().add(labels.size());
-  }
-  result.samples = batched.samples();
-  result.loss = loss_sum / static_cast<double>(batched.samples());
-  result.accuracy =
-      static_cast<double>(correct) / static_cast<double>(batched.samples());
-  return result;
-}
-
-EvalOutcome EvalEngine::evaluate_cached(const ParamsKey& key, nn::Model& model,
-                                        const BatchedSplit& batched) {
-  const ResultKey result_key{key, batched.key()};
-  data::EvalResult cached;
-  if (lookup(result_key, cached)) {
-    cache_hit_counter().increment();
-    return EvalOutcome{cached, true};
-  }
-  cache_miss_counter().increment();
-  const data::EvalResult result = evaluate(model, batched);
-  insert(result_key, result);
-  return EvalOutcome{result, false};
 }
 
 EvalOutcome EvalEngine::payload_eval(const tangle::ModelStore& store,
                                      tangle::PayloadId payload,
                                      const BatchedSplit& batched) {
-  const ResultKey result_key{ParamsKey::single(payload), batched.key()};
-  data::EvalResult cached;
-  if (lookup(result_key, cached)) {
-    cache_hit_counter().increment();
-    return EvalOutcome{cached, true};
-  }
-  cache_miss_counter().increment();
-  const data::EvalResult result =
-      backend_->eval(store.get(payload), batched, nullptr);
-  insert(result_key, result);
-  return EvalOutcome{result, false};
+  return params_eval(ParamsKey::single(payload), store.get(payload), batched);
 }
 
 EvalOutcome EvalEngine::params_eval(const ParamsKey& key,
@@ -484,7 +409,7 @@ EvalOutcome EvalEngine::params_eval(const ParamsKey& key,
     return EvalOutcome{cached, true};
   }
   cache_miss_counter().increment();
-  const data::EvalResult result = backend_->eval(params, batched, nullptr);
+  const data::EvalResult result = eval_one(params, batched);
   insert(result_key, result);
   return EvalOutcome{result, false};
 }
@@ -494,22 +419,6 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
     ThreadPool* pool) {
   std::vector<EvalOutcome> outcomes(requests.size());
   if (requests.empty()) return outcomes;
-
-  if (!config_.use_batched) {
-    // Off-switch: replay the exact standalone probe per request, in order —
-    // byte-identical results and counter sequences to the pre-batched code.
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      const EvalRequest& request = requests[i];
-      if (request.key.has_value()) {
-        outcomes[i] = params_eval(*request.key, request.params, batched);
-      } else {
-        outcomes[i] =
-            EvalOutcome{backend_->eval(request.params, batched, nullptr),
-                        false};
-      }
-    }
-    return outcomes;
-  }
 
   batched_group_counter().increment();
 
@@ -534,19 +443,17 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
       outcomes[i] = EvalOutcome{cached, true};
       continue;
     }
-    if (config_.use_cache) {
-      bool aliased = false;
-      for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
-        const EvalRequest& prior = requests[miss_requests[slot]];
-        if (prior.key.has_value() && *prior.key == *request.key) {
-          cache_hit_counter().increment();
-          aliases.emplace_back(i, slot);
-          aliased = true;
-          break;
-        }
+    bool aliased = false;
+    for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
+      const EvalRequest& prior = requests[miss_requests[slot]];
+      if (prior.key.has_value() && *prior.key == *request.key) {
+        cache_hit_counter().increment();
+        aliases.emplace_back(i, slot);
+        aliased = true;
+        break;
       }
-      if (aliased) continue;
     }
+    if (aliased) continue;
     cache_miss_counter().increment();
     miss_requests.push_back(i);
   }
@@ -558,7 +465,7 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
     for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
       params[slot] = requests[miss_requests[slot]].params;
     }
-    backend_->eval_many(params, batched, results, pool);
+    eval_many(params, batched, results, pool);
     for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
       const EvalRequest& request = requests[miss_requests[slot]];
       outcomes[miss_requests[slot]] = EvalOutcome{results[slot], false};
@@ -600,7 +507,6 @@ EvalEngine::Shard& EvalEngine::shard_for(const ResultKey& key) const {
 }
 
 bool EvalEngine::lookup(const ResultKey& key, data::EvalResult& out) const {
-  if (!config_.use_cache) return false;
   Shard& shard = shard_for(key);
   const ReaderLock lock(shard.mutex);
   const auto it = shard.results.find(key);
@@ -610,7 +516,6 @@ bool EvalEngine::lookup(const ResultKey& key, data::EvalResult& out) const {
 }
 
 void EvalEngine::insert(const ResultKey& key, const data::EvalResult& result) {
-  if (!config_.use_cache) return;
   Shard& shard = shard_for(key);
   const WriterLock lock(shard.mutex);
   shard.results.emplace(key, result);

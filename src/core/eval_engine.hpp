@@ -25,8 +25,9 @@
 // Why caching is bit-safe: evaluation runs forward passes only
 // (training=false; Dropout is identity, no layer keeps running statistics),
 // so an EvalResult is a pure function of (parameters, split contents,
-// batch size). The batch size is pinned to data::evaluate's default, hence
-// the cached and uncached paths share batch boundaries bit-exactly.
+// batch size). Splits are always batched at data::kEvalBatchSize, the
+// data::evaluate default, so engine and direct evaluations share batch
+// boundaries bit-exactly.
 //
 // Concurrency: all members are internally locked; node steps running under
 // ThreadPool::parallel_for may probe concurrently. Distinct users carry
@@ -36,7 +37,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -55,30 +55,10 @@ class ThreadPool;
 
 namespace tanglefl::core {
 
-class EvalBackend;
-class EvalEngine;
-
 struct EvalEngineConfig {
-  // Master switch for the (params, split) result cache and the cross-call
-  // BatchedSplit reuse. Off still pools model instances and pre-batches
-  // once per probe site — outputs are byte-identical either way.
-  bool use_cache = true;
-  // Routes evaluate_many() groups through the backend's fused multi-model
-  // pass (shared input packs + grid parallelism). Off replays the exact
-  // per-item serial path; results are byte-identical either way.
-  bool use_batched = true;
-  // Evaluation minibatch size. Must equal data::kEvalBatchSize so cached
-  // and direct paths accumulate losses over identical batches; the engine
-  // constructor rejects any other value.
-  std::size_t batch_size = data::kEvalBatchSize;
   // LRU byte budget for retained BatchedSplits (user validation splits are
   // small and stay resident; large one-shot pooled-test splits rotate out).
   std::size_t batched_budget_bytes = 256ull << 20;
-  // Optional backend override. When set, the engine runs every forward
-  // evaluation through the returned backend instead of the default pooled
-  // nn::Model path; the EvalEngine reference stays valid for the backend's
-  // lifetime. Null selects the built-in model backend.
-  std::function<std::unique_ptr<EvalBackend>(EvalEngine&)> backend_factory;
 };
 
 /// 128-bit content identity of a DataSplit (feature bytes + labels).
@@ -90,12 +70,12 @@ struct SplitKey {
   friend bool operator==(const SplitKey&, const SplitKey&) = default;
 };
 
-/// A validation split gathered into contiguous, forward-ready batches once.
-/// Immutable; shared across probes (and rounds) via shared_ptr.
+/// A validation split gathered into contiguous, forward-ready batches of
+/// data::kEvalBatchSize once. Immutable; shared across probes (and rounds)
+/// via shared_ptr.
 class BatchedSplit {
  public:
-  BatchedSplit(const data::DataSplit& split, std::size_t batch_size,
-               SplitKey key);
+  BatchedSplit(const data::DataSplit& split, SplitKey key);
 
   const SplitKey& key() const noexcept { return key_; }
   std::size_t samples() const noexcept { return samples_; }
@@ -161,31 +141,6 @@ struct EvalRequest {
   std::optional<ParamsKey> key;
 };
 
-/// Pluggable forward-evaluation runtime. Every cache miss the engine takes
-/// runs through one of these; the default backend leases pooled nn::Model
-/// instances and runs the ops kernels. An alternative runtime (quantized
-/// weights, an external interpreter) implements the same flat-span contract
-/// and slots in via EvalEngineConfig::backend_factory without touching any
-/// probe site.
-class EvalBackend {
- public:
-  virtual ~EvalBackend() = default;
-
-  /// Forward-evaluates one parameter vector over the prepared batches.
-  /// Must be a pure function of (params, batched) — results are cached.
-  virtual data::EvalResult eval(std::span<const float> params,
-                                const BatchedSplit& batched,
-                                ThreadPool* pool) = 0;
-
-  /// Evaluates k parameter vectors; results[i] corresponds to params[i] and
-  /// must be bit-identical to eval(params[i], batched, ...). The base
-  /// implementation loops eval(); backends may fuse shared work.
-  virtual void eval_many(std::span<const std::span<const float>> params,
-                         const BatchedSplit& batched,
-                         std::span<data::EvalResult> results,
-                         ThreadPool* pool);
-};
-
 class EvalEngine {
  public:
   explicit EvalEngine(nn::ModelFactory factory, EvalEngineConfig config = {});
@@ -229,29 +184,24 @@ class EvalEngine {
   /// Uncached — for freshly trained parameters with no payload identity.
   data::EvalResult evaluate(nn::Model& model, const BatchedSplit& batched);
 
-  /// Cached evaluation for a model whose parameters have identity `key`
-  /// (the caller already set them on `model`). On a hit the forward passes
-  /// are skipped entirely.
-  EvalOutcome evaluate_cached(const ParamsKey& key, nn::Model& model,
-                              const BatchedSplit& batched);
-
-  /// Cached evaluation of one store payload on `batched`.
+  /// Cached evaluation of one store payload on `batched`: params_eval of
+  /// (ParamsKey::single(payload), store.get(payload)).
   EvalOutcome payload_eval(const tangle::ModelStore& store,
                            tangle::PayloadId payload,
                            const BatchedSplit& batched);
 
   /// Cached evaluation of `params` whose identity is `key` (e.g. a
-  /// reference model averaging the payloads named by the key).
+  /// reference model averaging the payloads named by the key). On a hit the
+  /// forward passes are skipped entirely.
   EvalOutcome params_eval(const ParamsKey& key, std::span<const float> params,
                           const BatchedSplit& batched);
 
   /// Batched evaluation of a probe group: cache hits are resolved up front
   /// (first occurrence of a duplicated key counts as the miss, later ones
   /// as hits, mirroring the serial probe order) and only the misses enter
-  /// the backend's fused pass, whose k×batches work grid runs on `pool`.
-  /// outcomes[i] is bit-identical to probing requests[i] alone, including
-  /// the hit/miss flags and counter totals. With config.use_batched off the
-  /// group degenerates to the exact per-item serial path.
+  /// the fused pass, whose k×batches work grid runs on `pool`. outcomes[i]
+  /// is bit-identical to probing requests[i] alone, including the hit/miss
+  /// flags and the eval.cache.* totals.
   std::vector<EvalOutcome> evaluate_many(std::span<const EvalRequest> requests,
                                          const BatchedSplit& batched,
                                          ThreadPool* pool = nullptr);
@@ -262,9 +212,6 @@ class EvalEngine {
       const tangle::ModelStore& store,
       std::span<const tangle::PayloadId> payloads, const BatchedSplit& batched,
       ThreadPool* pool = nullptr);
-
-  bool cache_enabled() const noexcept { return config_.use_cache; }
-  const EvalEngineConfig& config() const noexcept { return config_; }
 
   /// Diagnostics (exact; used by tests).
   std::size_t models_created() const;
@@ -298,6 +245,15 @@ class EvalEngine {
   bool lookup(const ResultKey& key, data::EvalResult& out) const;
   void insert(const ResultKey& key, const data::EvalResult& result);
   void release(std::unique_ptr<nn::Model> model);
+  /// One forward evaluation of `params` on a leased model, kernels serial.
+  data::EvalResult eval_one(std::span<const float> params,
+                            const BatchedSplit& batched);
+  /// Evaluates k parameter vectors; results[i] is bit-identical to
+  /// eval_one(params[i], batched). Shares each activation batch's conv
+  /// input pack across the k models and runs the k×batches grid on `pool`.
+  void eval_many(std::span<const std::span<const float>> params,
+                 const BatchedSplit& batched,
+                 std::span<data::EvalResult> results, ThreadPool* pool);
   /// Linear scan of the resident splits for `key`; bumps the LRU tick and
   /// reuse counter on a find. Caller must hold split_mutex_.
   std::shared_ptr<const BatchedSplit> find_split(const SplitKey& key)
@@ -307,9 +263,6 @@ class EvalEngine {
   nn::ModelFactory factory_;
   // lint:allow(unannotated-guard) immutable after construction
   EvalEngineConfig config_;
-  // lint:allow(unannotated-guard) immutable after construction; the backend
-  // is internally thread-safe (it only uses the engine's locked pool).
-  std::unique_ptr<EvalBackend> backend_;
 
   mutable Mutex pool_mutex_;
   std::vector<std::unique_ptr<nn::Model>> pool_

@@ -206,10 +206,6 @@ class LSTM final : public Layer {
   std::unique_ptr<Layer> clone() const override;
 
  private:
-  // Legacy per-timestep path, dispatched under ops::reference mode; shares
-  // the cache tensors with the fused path below.
-  Tensor forward_reference(const Tensor& input);
-  Tensor backward_reference(const Tensor& grad_output);
   void ensure_cache_shapes(std::size_t batch, std::size_t seq);
 
   std::size_t input_dim_, hidden_dim_;
@@ -218,8 +214,8 @@ class LSTM final : public Layer {
   Tensor bias_;      // (4*hidden)
   Tensor dw_input_, dw_hidden_, dbias_;
 
-  // Per-forward caches for BPTT, laid out as whole sequences so the fused
-  // path can GEMM over strided timestep views instead of copied slices.
+  // Per-forward caches for BPTT, laid out as whole sequences so the
+  // kernels GEMM over strided timestep views instead of copied slices.
   Tensor cached_input_;
   Tensor gates_;   // (batch, seq, 4*hidden) activated gates
   Tensor hidden_;  // (batch, seq, hidden) h_t

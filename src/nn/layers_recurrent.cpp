@@ -10,18 +10,6 @@ namespace {
 
 inline float sigmoid(float x) noexcept { return 1.0f / (1.0f + std::exp(-x)); }
 
-/// Copies timestep `t` of a (batch, seq, dim) tensor into (batch, dim).
-/// Only used by the ops::reference LSTM path; the fused path reads strided
-/// views instead.
-Tensor slice_timestep(const Tensor& x, std::size_t t) {
-  const std::size_t batch = x.dim(0), dim = x.dim(2);
-  Tensor out({batch, dim});
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t d = 0; d < dim; ++d) out.at(b, d) = x.at(b, t, d);
-  }
-  return out;
-}
-
 }  // namespace
 
 // ------------------------------------------------------------- Embedding
@@ -120,7 +108,6 @@ Tensor LSTM::forward(const Tensor& input, bool training) {
   cached_input_ = input;
   const std::size_t batch = input.dim(0), seq = input.dim(1);
   ensure_cache_shapes(batch, seq);
-  if (ops::reference_kernels_enabled()) return forward_reference(input);
 
   const std::size_t h4 = 4 * hidden_dim_;
   const std::size_t rows = batch * seq;
@@ -177,7 +164,6 @@ Tensor LSTM::forward(const Tensor& input, bool training) {
 }
 
 Tensor LSTM::backward(const Tensor& grad_output) {
-  if (ops::reference_kernels_enabled()) return backward_reference(grad_output);
   const std::size_t batch = cached_input_.dim(0), seq = cached_input_.dim(1);
   const std::size_t h4 = 4 * hidden_dim_;
   assert(grad_output.rank() == 3 && grad_output.dim(1) == seq &&
@@ -258,117 +244,6 @@ Tensor LSTM::backward(const Tensor& grad_output) {
   ops::gemm_trans_b(dgates.data(), h4, w_input_.data(), h4, dx.data(),
                     input_dim_, rows, h4, input_dim_,
                     ops::Accumulate::kOverwrite, kernel_pool_);
-  return dx;
-}
-
-// Legacy per-timestep implementation, selected by set_reference_kernels():
-// the pre-fusion numerics the fused path is benchmarked and equivalence-
-// tested against. Shares the sequence-shaped caches with the fused path.
-
-Tensor LSTM::forward_reference(const Tensor& input) {
-  const std::size_t batch = input.dim(0), seq = input.dim(1);
-  const std::size_t h4 = 4 * hidden_dim_;
-
-  Tensor h_prev({batch, hidden_dim_});
-  Tensor c_prev({batch, hidden_dim_});
-  Tensor pre_x({batch, h4});
-  Tensor pre_h({batch, h4});
-  Tensor output({batch, seq, hidden_dim_});
-
-  for (std::size_t t = 0; t < seq; ++t) {
-    const Tensor x_t = slice_timestep(input, t);
-    ops::matmul(x_t, w_input_, pre_x);
-    ops::matmul(h_prev, w_hidden_, pre_h);
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t j = 0; j < h4; ++j) {
-        const float pre = pre_x.at(b, j) + pre_h.at(b, j) + bias_[j];
-        // Gate layout: [input | forget | cell | output].
-        gates_.at(b, t, j) =
-            (j / hidden_dim_ == 2) ? std::tanh(pre) : sigmoid(pre);
-      }
-      for (std::size_t h = 0; h < hidden_dim_; ++h) {
-        const float i_g = gates_.at(b, t, h);
-        const float f_g = gates_.at(b, t, hidden_dim_ + h);
-        const float c_g = gates_.at(b, t, 2 * hidden_dim_ + h);
-        const float o_g = gates_.at(b, t, 3 * hidden_dim_ + h);
-        const float c_new = f_g * c_prev.at(b, h) + i_g * c_g;
-        cell_.at(b, t, h) = c_new;
-        const float h_new = o_g * std::tanh(c_new);
-        hidden_.at(b, t, h) = h_new;
-        output.at(b, t, h) = h_new;
-      }
-    }
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t h = 0; h < hidden_dim_; ++h) {
-        h_prev.at(b, h) = hidden_.at(b, t, h);
-        c_prev.at(b, h) = cell_.at(b, t, h);
-      }
-    }
-  }
-  return output;
-}
-
-Tensor LSTM::backward_reference(const Tensor& grad_output) {
-  const std::size_t batch = cached_input_.dim(0), seq = cached_input_.dim(1);
-  const std::size_t h4 = 4 * hidden_dim_;
-  assert(grad_output.rank() == 3 && grad_output.dim(1) == seq &&
-         grad_output.dim(2) == hidden_dim_);
-
-  Tensor dx(cached_input_.shape());
-  Tensor dh_next({batch, hidden_dim_});
-  Tensor dc_next({batch, hidden_dim_});
-  Tensor dgates({batch, h4});
-  Tensor dx_t({batch, input_dim_});
-  Tensor dh_prev({batch, hidden_dim_});
-  Tensor dwx({input_dim_, h4});
-  Tensor dwh({hidden_dim_, h4});
-  Tensor h_prev({batch, hidden_dim_});
-
-  for (std::size_t tt = seq; tt > 0; --tt) {
-    const std::size_t t = tt - 1;
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t h = 0; h < hidden_dim_; ++h) {
-        const float i_g = gates_.at(b, t, h);
-        const float f_g = gates_.at(b, t, hidden_dim_ + h);
-        const float c_g = gates_.at(b, t, 2 * hidden_dim_ + h);
-        const float o_g = gates_.at(b, t, 3 * hidden_dim_ + h);
-        const float tanh_c = std::tanh(cell_.at(b, t, h));
-        const float c_prev_v = t == 0 ? 0.0f : cell_.at(b, t - 1, h);
-
-        const float dh = grad_output.at(b, t, h) + dh_next.at(b, h);
-        const float dc =
-            dc_next.at(b, h) + dh * o_g * (1.0f - tanh_c * tanh_c);
-
-        // Derivatives through the gate nonlinearities.
-        dgates.at(b, h) = dc * c_g * i_g * (1.0f - i_g);
-        dgates.at(b, hidden_dim_ + h) =
-            dc * c_prev_v * f_g * (1.0f - f_g);
-        dgates.at(b, 2 * hidden_dim_ + h) = dc * i_g * (1.0f - c_g * c_g);
-        dgates.at(b, 3 * hidden_dim_ + h) =
-            dh * tanh_c * o_g * (1.0f - o_g);
-
-        dc_next.at(b, h) = dc * f_g;
-        h_prev.at(b, h) = t == 0 ? 0.0f : hidden_.at(b, t - 1, h);
-      }
-    }
-
-    const Tensor x_t = slice_timestep(cached_input_, t);
-    ops::matmul_trans_a(x_t, dgates, dwx);
-    dw_input_.add(dwx);
-    ops::matmul_trans_a(h_prev, dgates, dwh);
-    dw_hidden_.add(dwh);
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t j = 0; j < h4; ++j) dbias_[j] += dgates.at(b, j);
-    }
-    ops::matmul_trans_b(dgates, w_input_, dx_t);
-    for (std::size_t b = 0; b < batch; ++b) {
-      for (std::size_t d = 0; d < input_dim_; ++d) {
-        dx.at(b, t, d) = dx_t.at(b, d);
-      }
-    }
-    ops::matmul_trans_b(dgates, w_hidden_, dh_prev);
-    dh_next = dh_prev;
-  }
   return dx;
 }
 

@@ -63,7 +63,9 @@ class TangleView {
   std::vector<TxIndex> approvers(TxIndex index) const;
 
   /// Number of transactions each transaction directly or indirectly
-  /// approves (excluding itself), indexed by TxIndex.
+  /// approves (excluding itself), indexed by TxIndex. This pass and
+  /// future_cone_sizes() are the from-scratch oracle for the invariant
+  /// audit and tests; consensus code reads cones from a ViewCacheEntry.
   std::vector<std::uint32_t> past_cone_sizes() const;
 
   /// Number of transactions directly or indirectly approving each

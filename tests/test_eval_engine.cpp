@@ -1,13 +1,12 @@
 // Tests for the shared evaluation engine (core/eval_engine): content-keyed
-// split identity, bit-exact cached evaluation, model pooling under
-// concurrent probes, and end-to-end byte-identity of all three simulation
-// engines with the loss cache on versus off.
+// split identity, bit-exact cached evaluation, fused multi-model groups
+// against the serial probe path, model pooling under concurrent probes, and
+// end-to-end byte-identity across node-thread counts.
 #include "core/eval_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -15,6 +14,7 @@
 #include "core/simulation.hpp"
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
+#include "obs/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "tangle/model_store.hpp"
 
@@ -152,41 +152,6 @@ TEST(EvalEngine, ParamsEvalKeyedByOrderedPayloadList) {
   const data::EvalResult direct = data::evaluate(model, split);
   EXPECT_EQ(hit.result.loss, direct.loss);
   EXPECT_EQ(hit.result.accuracy, direct.accuracy);
-}
-
-TEST(EvalEngine, CacheOffStillPoolsAndMatches) {
-  EvalEngineConfig config;
-  config.use_cache = false;
-  EvalEngine engine(mlp_factory(), config);
-  ModelStore store;
-  const auto added = store.add(random_params(mlp_factory(), 41));
-  const data::DataSplit split = make_split(40, 16);
-  const auto prepared = engine.prepare(split);
-
-  const EvalOutcome one = engine.payload_eval(store, added.id, *prepared);
-  const EvalOutcome two = engine.payload_eval(store, added.id, *prepared);
-  EXPECT_FALSE(one.cache_hit);
-  EXPECT_FALSE(two.cache_hit);
-  EXPECT_EQ(one.result.loss, two.result.loss);
-  EXPECT_EQ(engine.cached_results(), 0u);
-  EXPECT_EQ(engine.cached_splits(), 0u);
-  // Sequential probes reuse a single pooled instance.
-  EXPECT_EQ(engine.models_created(), 1u);
-}
-
-TEST(EvalEngine, BatchSizeContractEnforcedAtConstruction) {
-  // The comment-only contract ("must stay equal to data::evaluate's
-  // default") is now a hard constructor check: a divergent batch size would
-  // silently give cached and direct evaluations different batch boundaries.
-  EvalEngineConfig divergent;
-  divergent.batch_size = data::kEvalBatchSize / 2;
-  EXPECT_THROW(EvalEngine(mlp_factory(), divergent), std::invalid_argument);
-  divergent.batch_size = 0;
-  EXPECT_THROW(EvalEngine(mlp_factory(), divergent), std::invalid_argument);
-
-  EvalEngineConfig pinned;
-  pinned.batch_size = data::kEvalBatchSize;
-  EXPECT_NO_THROW(EvalEngine(mlp_factory(), pinned));
 }
 
 TEST(EvalEngine, ParamsKeyCachesPayloadHash) {
@@ -339,11 +304,13 @@ TEST(EvalEngine, EvaluateManyCacheInterleavings) {
 }
 
 TEST(EvalEngine, EvaluateManyBatchedOffReplaysSerialPath) {
+  // One fused group on a pool against the same probes run one at a time
+  // (per-item payload_eval on a second engine): losses, hit flags and
+  // eval.cache.* totals must all agree. The group repeats one payload so
+  // the in-group alias resolves as a hit, like the serial re-probe.
   const nn::ModelFactory factory = conv_factory();
-  EvalEngineConfig off_config;
-  off_config.use_batched = false;
   EvalEngine batched(factory);
-  EvalEngine serial(factory, off_config);
+  EvalEngine serial(factory);
   const data::DataSplit split = make_image_split(90, 74);
   const auto prepared_batched = batched.prepare(split);
   const auto prepared_serial = serial.prepare(split);
@@ -353,11 +320,28 @@ TEST(EvalEngine, EvaluateManyBatchedOffReplaysSerialPath) {
   for (std::size_t i = 0; i < 4; ++i) {
     ids.push_back(store.add(random_params(factory, 600 + i)).id);
   }
+  ids.push_back(ids[1]);
+
+  obs::Counter& hits = obs::MetricsRegistry::global().counter("eval.cache.hit");
+  obs::Counter& misses =
+      obs::MetricsRegistry::global().counter("eval.cache.miss");
+  const std::uint64_t hits_before = hits.value();
+  const std::uint64_t misses_before = misses.value();
   ThreadPool pool(2);
   const auto a = batched.payloads_eval_many(store, ids, *prepared_batched,
                                             &pool);
-  const auto b = serial.payloads_eval_many(store, ids, *prepared_serial,
-                                           nullptr);
+  const std::uint64_t fused_hits = hits.value() - hits_before;
+  const std::uint64_t fused_misses = misses.value() - misses_before;
+
+  std::vector<EvalOutcome> b;
+  for (const tangle::PayloadId id : ids) {
+    b.push_back(serial.payload_eval(store, id, *prepared_serial));
+  }
+  EXPECT_EQ(hits.value() - hits_before - fused_hits, fused_hits);
+  EXPECT_EQ(misses.value() - misses_before - fused_misses, fused_misses);
+  EXPECT_EQ(fused_hits, 1u);
+  EXPECT_EQ(fused_misses, 4u);
+
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].cache_hit, b[i].cache_hit);
@@ -366,66 +350,12 @@ TEST(EvalEngine, EvaluateManyBatchedOffReplaysSerialPath) {
   }
 }
 
-// A forwarding backend that counts how many evaluations it served — enough
-// to prove the engine routes every miss through the configured backend.
-class CountingBackend final : public EvalBackend {
- public:
-  explicit CountingBackend(EvalEngine& engine, std::size_t& calls)
-      : engine_(engine), calls_(calls) {}
-
-  data::EvalResult eval(std::span<const float> params,
-                        const BatchedSplit& batched, ThreadPool* pool) override {
-    (void)pool;
-    ++calls_;
-    EvalEngine::ModelLease lease = engine_.acquire();
-    lease.model().set_parameters(params);
-    return engine_.evaluate(lease.model(), batched);
-  }
-
- private:
-  EvalEngine& engine_;
-  std::size_t& calls_;
-};
-
-TEST(EvalEngine, BackendSelectableViaConfig) {
-  std::size_t calls = 0;
-  EvalEngineConfig config;
-  config.backend_factory =
-      [&calls](EvalEngine& engine) -> std::unique_ptr<EvalBackend> {
-    return std::make_unique<CountingBackend>(engine, calls);
-  };
-  EvalEngine engine(mlp_factory(), config);
-  ModelStore store;
-  const auto added = store.add(random_params(mlp_factory(), 700));
-  const data::DataSplit split = make_split(40, 75);
-  const auto prepared = engine.prepare(split);
-
-  const EvalOutcome miss = engine.payload_eval(store, added.id, *prepared);
-  EXPECT_EQ(calls, 1u);
-  EXPECT_FALSE(miss.cache_hit);
-  // Base-class eval_many loops eval(): three misses = three backend calls.
-  std::vector<tangle::PayloadId> ids;
-  for (std::size_t i = 0; i < 3; ++i) {
-    ids.push_back(store.add(random_params(mlp_factory(), 710 + i)).id);
-  }
-  engine.payloads_eval_many(store, ids, *prepared, nullptr);
-  EXPECT_EQ(calls, 4u);
-  // A hit skips the backend entirely.
-  engine.payload_eval(store, added.id, *prepared);
-  EXPECT_EQ(calls, 4u);
-  // Results still match the direct computation bitwise.
-  nn::Model model = mlp_factory()();
-  model.set_parameters(store.get(added.id));
-  EXPECT_EQ(miss.result.loss, data::evaluate(model, split).loss);
-}
-
 TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
-  // With the cache off every probe runs a forward pass and needs a model.
-  // parallel_for runs at most (workers + caller) lanes, so the pool must
-  // not create more instances than that — and far fewer than probes.
-  EvalEngineConfig config;
-  config.use_cache = false;
-  EvalEngine engine(mlp_factory(), config);
+  // Every probe carries a distinct key, so every probe misses, runs a
+  // forward pass and needs a model. parallel_for runs at most (workers +
+  // caller) lanes, so the pool must not create more instances than that —
+  // and far fewer than probes.
+  EvalEngine engine(mlp_factory());
   ModelStore store;
   constexpr std::size_t kPayloads = 8;
   std::vector<tangle::PayloadId> ids;
@@ -446,8 +376,11 @@ TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
   std::vector<double> losses(kProbes, 0.0);
   ThreadPool pool(3);
   pool.parallel_for(kProbes, [&](std::size_t i) {
-    losses[i] =
-        engine.payload_eval(store, ids[i % kPayloads], *prepared).result.loss;
+    const EvalOutcome outcome =
+        engine.params_eval(ParamsKey::single(1000 + i),
+                           store.get(ids[i % kPayloads]), *prepared);
+    EXPECT_FALSE(outcome.cache_hit);
+    losses[i] = outcome.result.loss;
   });
   for (std::size_t i = 0; i < kProbes; ++i) {
     EXPECT_EQ(losses[i], expected[i % kPayloads]) << "probe " << i;

@@ -230,13 +230,111 @@ TEST(OpsKernels, ConvBackwardShapeChecksThrow) {
 
 // ------------------------------------------------------------- fused LSTM
 
+float sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
+
+/// Copies timestep `t` of a (batch, seq, dim) tensor into (batch, dim).
+Tensor slice_timestep(const Tensor& x, std::size_t t) {
+  const std::size_t batch = x.dim(0), dim = x.dim(2);
+  Tensor out({batch, dim});
+  for (std::size_t b = 0; b < batch; ++b) {
+    for (std::size_t d = 0; d < dim; ++d) out.at(b, d) = x.at(b, t, d);
+  }
+  return out;
+}
+
+struct LstmOracleOutput {
+  Tensor y, dx, dw_input, dw_hidden, dbias;
+};
+
+/// Per-timestep LSTM forward + BPTT on the ops::reference loops: the
+/// pre-fusion numerics the fused layer is checked against. Parameters come
+/// in LSTM::parameters() order; gate layout is [input | forget | cell |
+/// output].
+LstmOracleOutput lstm_oracle(const Tensor& w_input, const Tensor& w_hidden,
+                             const Tensor& bias, const Tensor& x,
+                             const Tensor& grad_output) {
+  const std::size_t batch = x.dim(0), seq = x.dim(1), in = x.dim(2);
+  const std::size_t hidden = w_hidden.dim(0), h4 = 4 * hidden;
+  Tensor gates({batch, seq, h4});
+  Tensor cell({batch, seq, hidden});
+  Tensor hs({batch, seq, hidden});
+
+  Tensor h_prev({batch, hidden});
+  Tensor c_prev({batch, hidden});
+  Tensor pre_x({batch, h4});
+  Tensor pre_h({batch, h4});
+  for (std::size_t t = 0; t < seq; ++t) {
+    ops::reference::matmul(slice_timestep(x, t), w_input, pre_x);
+    ops::reference::matmul(h_prev, w_hidden, pre_h);
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t j = 0; j < h4; ++j) {
+        const float pre = pre_x.at(b, j) + pre_h.at(b, j) + bias[j];
+        gates.at(b, t, j) = (j / hidden == 2) ? std::tanh(pre) : sigmoid(pre);
+      }
+      for (std::size_t h = 0; h < hidden; ++h) {
+        const float i_g = gates.at(b, t, h);
+        const float f_g = gates.at(b, t, hidden + h);
+        const float c_g = gates.at(b, t, 2 * hidden + h);
+        const float o_g = gates.at(b, t, 3 * hidden + h);
+        const float c_new = f_g * c_prev.at(b, h) + i_g * c_g;
+        cell.at(b, t, h) = c_new;
+        hs.at(b, t, h) = o_g * std::tanh(c_new);
+        h_prev.at(b, h) = hs.at(b, t, h);
+        c_prev.at(b, h) = c_new;
+      }
+    }
+  }
+
+  LstmOracleOutput out{hs, Tensor(x.shape()), Tensor({in, h4}),
+                       Tensor({hidden, h4}), Tensor({h4})};
+  Tensor dh_next({batch, hidden});
+  Tensor dc_next({batch, hidden});
+  Tensor dgates({batch, h4});
+  Tensor dx_t({batch, in});
+  Tensor dwx({in, h4});
+  Tensor dwh({hidden, h4});
+  for (std::size_t tt = seq; tt > 0; --tt) {
+    const std::size_t t = tt - 1;
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t h = 0; h < hidden; ++h) {
+        const float i_g = gates.at(b, t, h);
+        const float f_g = gates.at(b, t, hidden + h);
+        const float c_g = gates.at(b, t, 2 * hidden + h);
+        const float o_g = gates.at(b, t, 3 * hidden + h);
+        const float tanh_c = std::tanh(cell.at(b, t, h));
+        const float c_prev_v = t == 0 ? 0.0f : cell.at(b, t - 1, h);
+        const float dh = grad_output.at(b, t, h) + dh_next.at(b, h);
+        const float dc = dc_next.at(b, h) + dh * o_g * (1.0f - tanh_c * tanh_c);
+        dgates.at(b, h) = dc * c_g * i_g * (1.0f - i_g);
+        dgates.at(b, hidden + h) = dc * c_prev_v * f_g * (1.0f - f_g);
+        dgates.at(b, 2 * hidden + h) = dc * i_g * (1.0f - c_g * c_g);
+        dgates.at(b, 3 * hidden + h) = dh * tanh_c * o_g * (1.0f - o_g);
+        dc_next.at(b, h) = dc * f_g;
+        h_prev.at(b, h) = t == 0 ? 0.0f : hs.at(b, t - 1, h);
+      }
+    }
+    ops::reference::matmul_trans_a(slice_timestep(x, t), dgates, dwx);
+    out.dw_input.add(dwx);
+    ops::reference::matmul_trans_a(h_prev, dgates, dwh);
+    out.dw_hidden.add(dwh);
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t j = 0; j < h4; ++j) out.dbias[j] += dgates.at(b, j);
+    }
+    ops::reference::matmul_trans_b(dgates, w_input, dx_t);
+    for (std::size_t b = 0; b < batch; ++b) {
+      for (std::size_t d = 0; d < in; ++d) out.dx.at(b, t, d) = dx_t.at(b, d);
+    }
+    ops::reference::matmul_trans_b(dgates, w_hidden, dh_next);
+  }
+  return out;
+}
+
 TEST(OpsKernels, LstmFusedMatchesReferencePath) {
   const std::size_t in = 7, hidden = 12, batch = 3, seq = 5;
   Rng rng(31);
   LSTM fused(in, hidden);
   Rng init(99);
   fused.init(init);
-  auto reference_copy = fused.clone();
 
   const Tensor x = random_tensor({batch, seq, in}, rng);
   const Tensor go = random_tensor({batch, seq, hidden}, rng);
@@ -245,23 +343,21 @@ TEST(OpsKernels, LstmFusedMatchesReferencePath) {
   for (Tensor* g : fused.gradients()) g->zero();
   const Tensor dx_fused = fused.backward(go);
 
-  ops::set_reference_kernels(true);
-  const Tensor y_ref = reference_copy->forward(x, /*training=*/true);
-  for (Tensor* g : reference_copy->gradients()) g->zero();
-  const Tensor dx_ref = reference_copy->backward(go);
-  ops::set_reference_kernels(false);
+  const auto params = fused.parameters();
+  ASSERT_EQ(params.size(), 3u);
+  const LstmOracleOutput want =
+      lstm_oracle(*params[0], *params[1], *params[2], x, go);
 
   // Forward, dx and dbias preserve the reference reduction order exactly.
-  expect_bit_equal(y_ref, y_fused);
-  expect_bit_equal(dx_ref, dx_fused);
+  expect_bit_equal(want.y, y_fused);
+  expect_bit_equal(want.dx, dx_fused);
   const auto grads_fused = fused.gradients();
-  const auto grads_ref = reference_copy->gradients();
   ASSERT_EQ(grads_fused.size(), 3u);
   // dw_input_ / dw_hidden_ are regrouped (one whole-sequence GEMM instead
   // of per-timestep accumulation): tolerance.
-  expect_near_rel(*grads_ref[0], *grads_fused[0], 1e-5f);
-  expect_near_rel(*grads_ref[1], *grads_fused[1], 1e-5f);
-  expect_bit_equal(*grads_ref[2], *grads_fused[2]);
+  expect_near_rel(want.dw_input, *grads_fused[0], 1e-5f);
+  expect_near_rel(want.dw_hidden, *grads_fused[1], 1e-5f);
+  expect_bit_equal(want.dbias, *grads_fused[2]);
 }
 
 // --------------------------------------------------------------- Workspace

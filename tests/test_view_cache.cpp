@@ -345,17 +345,49 @@ TEST(ViewCache, ResetsWhenBoundTangleChanges) {
   expect_entry_matches_view(g.tangle.view(), *entry);
 }
 
+/// Appends two sibling tips and masks out the first: an ancestor-closed
+/// view short of its prefix, so ViewCache keys it as a masked view and
+/// serves it with a full build.
+TangleView masked_view(Fixture& f) {
+  const TxIndex last = static_cast<TxIndex>(f.tangle.size() - 1);
+  const std::uint64_t round = f.tangle.transaction(last).round + 1;
+  const TxIndex hidden = f.add({last}, 100.0f, round);
+  (void)f.add({last}, 101.0f, round);
+  std::vector<bool> members(f.tangle.size(), true);
+  members[hidden] = false;
+  return TangleView(f.tangle, std::move(members));
+}
+
 TEST(ViewCache, BuildCountsAsConeRecomputes) {
   Fixture f;
   f.grow(10, /*seed=*/53);
   obs::Counter& recomputes =
       obs::MetricsRegistry::global().counter("tangle.cone_recompute.count");
   const std::uint64_t before = recomputes.value();
-  ViewCache cache(4, /*incremental=*/false);
-  (void)cache.get(f.tangle.view());  // miss: one past + one future pass
+  ViewCache cache(4);
+  const TangleView masked = masked_view(f);
+  ASSERT_LT(masked.member_count(), masked.size());
+  (void)cache.get(masked);  // miss: one past + one future pass
   EXPECT_EQ(recomputes.value() - before, 2u);
-  (void)cache.get(f.tangle.view());  // hit: no recompute
+  (void)cache.get(masked);  // hit: no recompute
   EXPECT_EQ(recomputes.value() - before, 2u);
+  (void)ViewCacheEntry::build(f.tangle.view());  // direct full build
+  EXPECT_EQ(recomputes.value() - before, 4u);
+}
+
+TEST(ViewCache, AuditConePassesAreNotCountedAsRecomputes) {
+  // TangleView's from-scratch cone passes back the invariant audit and the
+  // tests; counting them would make a debug-checks build report audit work
+  // as ViewCache misses.
+  Fixture f;
+  f.grow(10, /*seed=*/54);
+  obs::Counter& recomputes =
+      obs::MetricsRegistry::global().counter("tangle.cone_recompute.count");
+  const std::uint64_t before = recomputes.value();
+  const TangleView view = f.tangle.view();
+  (void)view.past_cone_sizes();
+  (void)view.future_cone_sizes();
+  EXPECT_EQ(recomputes.value(), before);
 }
 
 TEST(ViewCacheEntry, ApproversOutOfRangeThrowsUnderDebugChecks) {
@@ -374,16 +406,20 @@ TEST(ViewCacheEntry, ApproversOutOfRangeThrowsUnderDebugChecks) {
 TEST(ViewCache, IncrementalAndFullBuildsServeIdenticalEntries) {
   Fixture f;
   f.grow(80, /*seed=*/31);
-  ViewCache incremental(4, /*incremental=*/true);
-  ViewCache full(4, /*incremental=*/false);
+  ViewCache incremental(4);
   // Grow between gets so the incremental path exercises real deltas.
   for (const std::size_t extra : {0UL, 15UL, 40UL}) {
     f.grow(extra, /*seed=*/31 + extra);
     const TangleView view = f.tangle.view();
     const auto a = incremental.get(view);
-    const auto b = full.get(view);
+    const auto b = ViewCacheEntry::build(view);
     expect_entry_matches_view(view, *a);
     expect_entry_matches_view(view, *b);
+    ASSERT_EQ(a->view_size(), b->view_size());
+    for (TxIndex i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(a->past_cone_sizes()[i], b->past_cone_sizes()[i]);
+      EXPECT_EQ(a->future_cone_sizes()[i], b->future_cone_sizes()[i]);
+    }
   }
 }
 
@@ -422,7 +458,7 @@ TEST(ViewCache, IncrementalMissAvoidsConeRecomputes) {
       "tangle.cones.incremental.builds");
   const std::uint64_t before = recomputes.value();
   const std::uint64_t builds_before = incremental_builds.value();
-  ViewCache cache(4);  // incremental by default
+  ViewCache cache(4);
   (void)cache.get(f.tangle.view());
   EXPECT_EQ(recomputes.value() - before, 0u);
   EXPECT_EQ(incremental_builds.value() - builds_before, 1u);
