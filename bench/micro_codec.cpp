@@ -42,6 +42,18 @@ struct PayloadFixture {
   }
 };
 
+/// Parameters drawn independently of the base, as a poisoned publish is:
+/// the raw word stream codes shorter than the XOR delta, so the dense
+/// best-of runs its raw pass to the end.
+PayloadFixture independent_fixture(std::size_t n) {
+  PayloadFixture fixture(n);
+  Rng rng(11);
+  for (float& value : fixture.params) {
+    value = static_cast<float>(rng.uniform());
+  }
+  return fixture;
+}
+
 const std::vector<std::string>& codec_specs() {
   static const std::vector<std::string> specs = {
       "delta",
@@ -76,6 +88,62 @@ void BM_PayloadCodec(benchmark::State& state) {
 }
 BENCHMARK(BM_PayloadCodec)
     ->ArgsProduct({{4096, 33000}, {0, 1, 2, 3}});
+
+void BM_PayloadEncode(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string& spec = codec_specs()[
+      static_cast<std::size_t>(state.range(1))];
+  const PayloadFixture fixture(n);
+  const PayloadCodec codec(parse_codec_spec(spec));
+  for (auto _ : state) {
+    const EncodedPayload encoded = codec.encode(fixture.params, fixture.base);
+    benchmark::DoNotOptimize(encoded.bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(spec);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(float)));
+}
+BENCHMARK(BM_PayloadEncode)->ArgsProduct({{33000}, {0, 1, 2, 3}});
+
+void BM_PayloadDecode(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::string& spec = codec_specs()[
+      static_cast<std::size_t>(state.range(1))];
+  const PayloadFixture fixture(n);
+  const PayloadCodec codec(parse_codec_spec(spec));
+  const EncodedPayload encoded = codec.encode(fixture.params, fixture.base);
+  for (auto _ : state) {
+    nn::ParamVector decoded = codec.decode(encoded, fixture.base);
+    benchmark::DoNotOptimize(decoded.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(spec);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(float)));
+}
+BENCHMARK(BM_PayloadDecode)->ArgsProduct({{33000}, {0, 1, 2, 3}});
+
+/// delta,entropy on a payload unrelated to its base: the raw pass wins, so
+/// it is never cut short.
+void BM_PayloadEncodeRawWins(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PayloadFixture fixture = independent_fixture(n);
+  const PayloadCodec codec(parse_codec_spec("delta,entropy"));
+  std::size_t encoded_bytes = 0;
+  for (auto _ : state) {
+    const EncodedPayload encoded = codec.encode(fixture.params, fixture.base);
+    encoded_bytes = encoded.bytes.size();
+    benchmark::DoNotOptimize(encoded.bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["ratio"] = benchmark::Counter(
+      static_cast<double>(encoded_bytes) /
+      static_cast<double>(n * sizeof(float)));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(n * sizeof(float)));
+}
+BENCHMARK(BM_PayloadEncodeRawWins)->Arg(33000);
 
 void BM_ChunkBoundaries(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

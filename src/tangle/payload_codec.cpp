@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "nn/privacy.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "support/check.hpp"
 #include "support/serialize.hpp"
 
 namespace tanglefl::tangle {
@@ -25,47 +27,92 @@ constexpr std::uint32_t kTopValue = 1u << 24;
 constexpr std::uint16_t kProbInit = 1024;  // p(bit=0) = 1/2 in 11-bit scale
 constexpr unsigned kAdaptShift = 4;
 
+/// Encodes into a buffer it owns. Bits are coded in runs through a Bits
+/// window: a by-value copy of the coder state that writes through a raw
+/// pointer into room reserved up front. A byte store may alias anything,
+/// so coding through members would force low/range reloads after every
+/// output byte; the window's address never escapes, so its state stays in
+/// registers for the whole run.
 class RangeEncoder {
  public:
-  explicit RangeEncoder(std::vector<std::uint8_t>& out) : out_(out) {}
+  struct Bits {
+    std::uint64_t low;
+    std::uint32_t range;
+    std::uint8_t cache;
+    std::uint64_t cache_size;
+    std::uint8_t* out;
 
-  void encode_bit(std::uint16_t& prob, unsigned bit) {
-    const std::uint32_t bound = (range_ >> 11) * prob;
-    if (bit == 0) {
-      range_ = bound;
-      prob = static_cast<std::uint16_t>(prob + ((2048 - prob) >> kAdaptShift));
-    } else {
-      low_ += bound;
-      range_ -= bound;
-      prob = static_cast<std::uint16_t>(prob - (prob >> kAdaptShift));
+    /// `bit` is 0 or 1, and no branch depends on it: masks add the bound
+    /// to low and pick the adaptation step, and the range select compiles
+    /// to a conditional move, the shortest step on the range chain. One
+    /// renormalizing shift always suffices (see run()).
+    void encode_bit(std::uint16_t& prob, unsigned bit) {
+      const std::uint32_t bound = (range >> 11) * prob;
+      const std::uint32_t mask = 0u - bit;  // all ones for a 1 bit
+      low += bound & mask;
+      range = bit != 0 ? range - bound : bound;
+      const std::uint32_t p = prob;
+      prob = static_cast<std::uint16_t>(
+          p + (((2048 - p) >> kAdaptShift) & ~mask) -
+          ((p >> kAdaptShift) & mask));
+      if (range < kTopValue) {
+        range <<= 8;
+        shift_low();
+      }
     }
-    while (range_ < kTopValue) {
-      range_ <<= 8;
-      shift_low();
+
+    void shift_low() {
+      if (static_cast<std::uint32_t>(low) < 0xFF000000u || (low >> 32) != 0) {
+        const auto carry = static_cast<std::uint8_t>(low >> 32);
+        std::uint8_t carry_byte = cache;
+        do {
+          *out++ = static_cast<std::uint8_t>(carry_byte + carry);
+          carry_byte = 0xFF;
+        } while (--cache_size != 0);
+        cache = static_cast<std::uint8_t>(low >> 24);
+      }
+      ++cache_size;
+      low = (low & 0x00FFFFFFu) << 8;
     }
+  };
+
+  explicit RangeEncoder(std::size_t capacity) : buffer_(capacity) {}
+
+  std::size_t size() const noexcept { return size_; }
+
+  /// Runs `code(bits)`, which may code at most `max_bits` bits. A bit
+  /// renormalizes at most once (15 <= prob <= 2033 leaves range above 2^16
+  /// after coding, so one 8-bit shift restores range >= 2^24), and a shift
+  /// writes the pending cache run or nothing, so the run writes at most the
+  /// pending run plus `max_bits` bytes.
+  template <typename Code>
+  void run(std::size_t max_bits, const Code& code) {
+    const std::size_t need = size_ + cache_size_ + max_bits;
+    if (need > buffer_.size()) {
+      buffer_.resize(std::max(need, 2 * buffer_.size()));
+    }
+    Bits bits{low_, range_, cache_, cache_size_, buffer_.data() + size_};
+    code(bits);
+    low_ = bits.low;
+    range_ = bits.range;
+    cache_ = bits.cache;
+    cache_size_ = bits.cache_size;
+    size_ = static_cast<std::size_t>(bits.out - buffer_.data());
+    TANGLEFL_DCHECK(size_ <= need);
   }
 
-  /// Flushes the remaining low bits; call exactly once.
-  void finish() {
-    for (int i = 0; i < 5; ++i) shift_low();
+  /// Flushes the remaining low bits and returns the stream.
+  std::vector<std::uint8_t> finish() && {
+    run(5, [](Bits& bits) {
+      for (int i = 0; i < 5; ++i) bits.shift_low();
+    });
+    buffer_.resize(size_);
+    return std::move(buffer_);
   }
 
  private:
-  void shift_low() {
-    if (static_cast<std::uint32_t>(low_) < 0xFF000000u || (low_ >> 32) != 0) {
-      std::uint8_t carry_byte = cache_;
-      do {
-        out_.push_back(
-            static_cast<std::uint8_t>(carry_byte + (low_ >> 32)));
-        carry_byte = 0xFF;
-      } while (--cache_size_ != 0);
-      cache_ = static_cast<std::uint8_t>(low_ >> 24);
-    }
-    ++cache_size_;
-    low_ = (low_ & 0x00FFFFFFu) << 8;
-  }
-
-  std::vector<std::uint8_t>& out_;
+  std::vector<std::uint8_t> buffer_;
+  std::size_t size_ = 0;
   std::uint64_t low_ = 0;
   std::uint32_t range_ = 0xFFFFFFFFu;
   std::uint8_t cache_ = 0;
@@ -120,11 +167,11 @@ struct ByteTree {
   ByteTree() { probs.fill(kProbInit); }
 };
 
-void encode_byte(RangeEncoder& encoder, ByteTree& tree, std::uint8_t byte) {
+void encode_byte(RangeEncoder::Bits& bits, ByteTree& tree, std::uint8_t byte) {
   unsigned context = 1;
   for (int bit_index = 7; bit_index >= 0; --bit_index) {
     const unsigned bit = (byte >> bit_index) & 1u;
-    encoder.encode_bit(tree.probs[context], bit);
+    bits.encode_bit(tree.probs[context], bit);
     context = (context << 1) | bit;
   }
 }
@@ -142,14 +189,13 @@ std::uint8_t decode_byte(RangeDecoder& decoder, ByteTree& tree) {
 std::vector<std::uint8_t> entropy_compress(std::span<const std::uint8_t> data,
                                            std::size_t period) {
   std::vector<ByteTree> trees(period);
-  std::vector<std::uint8_t> out;
-  out.reserve(data.size() / 2 + 16);
-  RangeEncoder encoder(out);
+  RangeEncoder encoder(data.size() / 2 + 16);
   for (std::size_t i = 0; i < data.size(); ++i) {
-    encode_byte(encoder, trees[i % period], data[i]);
+    encoder.run(8, [&](RangeEncoder::Bits& bits) {
+      encode_byte(bits, trees[i % period], data[i]);
+    });
   }
-  encoder.finish();
-  return out;
+  return std::move(encoder).finish();
 }
 
 std::vector<std::uint8_t> entropy_decompress(
@@ -215,24 +261,31 @@ std::size_t exponent_bucket_of(float base_value) {
   return 0;                       // smaller (or zero)
 }
 
-std::vector<std::uint8_t> entropy_compress_words(
-    std::span<const std::uint8_t> data, std::span<const float> base) {
+constexpr std::size_t kUncapped = std::numeric_limits<std::size_t>::max();
+
+/// Codes the dense words, or returns nullopt at the first word boundary
+/// where the output has reached `cap` bytes: the output only grows and
+/// finish() only appends, so the whole stream would be at least `cap`
+/// bytes long.
+std::optional<std::vector<std::uint8_t>> entropy_compress_words(
+    std::span<const std::uint8_t> data, std::span<const float> base,
+    std::size_t cap) {
   std::vector<ByteTree> trees(4 * kWordClasses * kExponentBuckets);
-  std::vector<std::uint8_t> out;
-  out.reserve(data.size() / 2 + 16);
-  RangeEncoder encoder(out);
+  RangeEncoder encoder(data.size() / 2 + 16);
   for (std::size_t word = 0; word + 4 <= data.size(); word += 4) {
+    if (encoder.size() >= cap) return std::nullopt;
     const std::size_t bucket =
         base.empty() ? 0 : exponent_bucket_of(base[word / 4]);
-    std::size_t cls = 0;
-    for (std::size_t b = 4; b-- > 0;) {
-      const std::uint8_t byte = data[word + b];
-      encode_byte(encoder, trees[word_context(b, cls, bucket)], byte);
-      cls = next_class(cls, byte, /*first=*/b == 3);
-    }
+    encoder.run(32, [&](RangeEncoder::Bits& bits) {
+      std::size_t cls = 0;
+      for (std::size_t b = 4; b-- > 0;) {
+        const std::uint8_t byte = data[word + b];
+        encode_byte(bits, trees[word_context(b, cls, bucket)], byte);
+        cls = next_class(cls, byte, /*first=*/b == 3);
+      }
+    });
   }
-  encoder.finish();
-  return out;
+  return std::move(encoder).finish();
 }
 
 std::vector<std::uint8_t> entropy_decompress_words(
@@ -439,19 +492,22 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
       std::vector<std::uint8_t> raw_words =
           dense_words(params, std::span<const float>{});
       const std::vector<std::uint8_t> delta_coded =
-          entropy_compress_words(words, delta_base);
-      const std::vector<std::uint8_t> raw_coded =
-          entropy_compress_words(raw_words, std::span<const float>{});
+          *entropy_compress_words(words, delta_base, kUncapped);
+      // The raw pass only matters if it comes out shorter, so it stops as
+      // soon as it cannot.
+      const std::optional<std::vector<std::uint8_t>> raw_coded =
+          entropy_compress_words(raw_words, std::span<const float>{},
+                                 delta_coded.size());
       EncodedPayload encoded;
       encoded.param_count = params.size();
       ByteWriter out;
-      if (raw_coded.size() < delta_coded.size()) {
+      if (raw_coded && raw_coded->size() < delta_coded.size()) {
         flags = static_cast<std::uint8_t>((flags & ~kFlagDeltaUsed) |
                                           kFlagDenseRaw);
         out.write_u8(flags);
         write_varint(out, params.size());
         write_varint(out, raw_words.size());
-        out.write_bytes(raw_coded);
+        out.write_bytes(*raw_coded);
       } else {
         out.write_u8(flags);
         write_varint(out, params.size());
@@ -477,7 +533,8 @@ EncodedPayload PayloadCodec::encode(std::span<const float> params,
       dense ? std::move(dense_plain) : inner.take();
   if (config_.entropy) {
     write_varint(out, plain.size());
-    out.write_bytes(dense ? entropy_compress_words(plain, delta_base)
+    out.write_bytes(dense ? *entropy_compress_words(plain, delta_base,
+                                                    kUncapped)
                           : entropy_compress(plain, 1));
   } else {
     out.write_bytes(plain);
