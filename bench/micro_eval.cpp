@@ -5,8 +5,10 @@
 // payload already in the (params, split) result cache.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "core/eval_engine.hpp"
 #include "data/training.hpp"
@@ -136,12 +138,13 @@ void eval_cache_hit_loop(benchmark::State& state, bool lstm) {
   const EvalFixture fixture = make_fixture(lstm, 64);
   core::EvalEngine engine(fixture.factory);
   const auto prepared = engine.prepare(fixture.split);
-  const core::ParamsKey key{{42}};
-  engine.params_eval(key, fixture.params, *prepared);  // warm the cache
+  const std::array<core::EvalRequest, 1> requests{
+      core::EvalRequest{fixture.params, core::ParamsKey{{42}}}};
+  engine.evaluate_many(requests, *prepared);  // warm the cache
   for (auto _ : state) {
-    const core::EvalOutcome outcome =
-        engine.params_eval(key, fixture.params, *prepared);
-    benchmark::DoNotOptimize(outcome.result.loss);
+    const std::vector<core::EvalOutcome> outcomes =
+        engine.evaluate_many(requests, *prepared);
+    benchmark::DoNotOptimize(outcomes.front().result.loss);
   }
 }
 

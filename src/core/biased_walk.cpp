@@ -32,28 +32,10 @@ obs::Counter& walk_loss_eval_counter() {
 
 }  // namespace
 
-double LocalLossCache::loss(const tangle::TangleView& view,
-                            tangle::TxIndex index) {
-  if (const auto it = cache_.find(index); it != cache_.end()) {
-    return it->second;
-  }
-  double value = 0.0;  // no data to bias with: the structural walk
-  if (batched_ != nullptr) {
-    const EvalOutcome outcome = engine_->payload_eval(
-        *store_, view.tangle().transaction(index).payload, *batched_);
-    value = outcome.result.loss;
-    if (!outcome.cache_hit) {
-      ++evaluations_;
-      walk_loss_eval_counter().increment();
-    }
-  }
-  cache_.emplace(index, value);
-  return value;
-}
-
-void LocalLossCache::prefetch(const tangle::TangleView& view,
-                              std::span<const tangle::TxIndex> indices) {
-  if (batched_ == nullptr) return;
+std::vector<double> LocalLossCache::losses(
+    const tangle::TangleView& view, std::span<const tangle::TxIndex> indices) {
+  // No data to bias with: every loss is 0, the structural walk.
+  if (batched_ == nullptr) return std::vector<double>(indices.size(), 0.0);
   std::vector<tangle::TxIndex> pending;
   std::vector<tangle::PayloadId> payloads;
   for (const tangle::TxIndex index : indices) {
@@ -61,19 +43,26 @@ void LocalLossCache::prefetch(const tangle::TangleView& view,
     pending.push_back(index);
     payloads.push_back(view.tangle().transaction(index).payload);
   }
-  if (pending.empty()) return;
-  // One group per branch: the engine resolves payload-cache hits up front
-  // and fuses the misses. Distinct transactions sharing a payload memoize
-  // the same loss, exactly as serial probes would via the payload cache.
-  const std::vector<EvalOutcome> outcomes =
-      engine_->payloads_eval_many(*store_, payloads, *batched_, pool_);
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    cache_.emplace(pending[i], outcomes[i].result.loss);
-    if (!outcomes[i].cache_hit) {
-      ++evaluations_;
-      walk_loss_eval_counter().increment();
+  if (!pending.empty()) {
+    // One group per branch: the engine resolves payload-cache hits up front
+    // and fuses the misses. Distinct transactions sharing a payload memoize
+    // the same loss, exactly as serial probes would via the payload cache.
+    const std::vector<EvalOutcome> outcomes =
+        engine_->payloads_eval_many(*store_, payloads, *batched_, pool_);
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      cache_.emplace(pending[i], outcomes[i].result.loss);
+      if (!outcomes[i].cache_hit) {
+        ++evaluations_;
+        walk_loss_eval_counter().increment();
+      }
     }
   }
+  std::vector<double> result;
+  result.reserve(indices.size());
+  for (const tangle::TxIndex index : indices) {
+    result.push_back(cache_.at(index));
+  }
+  return result;
 }
 
 tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
@@ -100,24 +89,24 @@ tangle::TxIndex biased_random_walk_tip(const tangle::TangleView& view,
       continue;
     }
 
-    // Normalize both terms against the branch optimum for stability.
-    // Group-probe the branch first: every approver's loss is needed below,
-    // and one fused evaluation beats per-approver standalone forwards.
-    if (config.beta != 0.0) cache.prefetch(view, approvers);
+    // Normalize both terms against the branch optimum for stability. The
+    // branch's losses come from one group probe: every approver's loss is
+    // needed, and one fused evaluation beats per-approver forwards.
+    std::vector<double> losses;
+    if (config.beta != 0.0) losses = cache.losses(view, approvers);
     std::uint32_t max_weight = 0;
     double min_loss = 1e300;
-    for (const tangle::TxIndex a : approvers) {
-      max_weight = std::max(max_weight, future_cones[a]);
-      if (config.beta != 0.0) {
-        min_loss = std::min(min_loss, cache.loss(view, a));
-      }
+    for (std::size_t i = 0; i < approvers.size(); ++i) {
+      max_weight = std::max(max_weight, future_cones[approvers[i]]);
+      if (config.beta != 0.0) min_loss = std::min(min_loss, losses[i]);
     }
     weights.clear();
-    for (const tangle::TxIndex a : approvers) {
-      double exponent = config.alpha * (static_cast<double>(future_cones[a]) -
-                                        static_cast<double>(max_weight));
+    for (std::size_t i = 0; i < approvers.size(); ++i) {
+      double exponent =
+          config.alpha * (static_cast<double>(future_cones[approvers[i]]) -
+                          static_cast<double>(max_weight));
       if (config.beta != 0.0) {
-        exponent -= config.beta * (cache.loss(view, a) - min_loss);
+        exponent -= config.beta * (losses[i] - min_loss);
       }
       weights.push_back(std::exp(exponent));
     }

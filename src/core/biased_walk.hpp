@@ -43,7 +43,7 @@ class LocalLossCache {
   /// `batched`, the engine-batched validation split. A null `batched`
   /// (empty validation) scores every payload 0, which degenerates to the
   /// structural walk. `pool` (optional, not owned) drives the fused
-  /// multi-model pass of prefetch().
+  /// multi-model pass of losses().
   LocalLossCache(EvalEngine& engine, const tangle::ModelStore& store,
                  std::shared_ptr<const BatchedSplit> batched,
                  ThreadPool* pool = nullptr)
@@ -52,16 +52,14 @@ class LocalLossCache {
         batched_(std::move(batched)),
         pool_(pool) {}
 
-  /// Loss of `index`'s payload on the validation split (cached).
-  double loss(const tangle::TangleView& view, tangle::TxIndex index);
-
-  /// Batch-probes every not-yet-memoized index through the engine's fused
-  /// multi-model pass, so a walk branch pays one grouped evaluation instead
-  /// of one standalone forward per approver. Memo contents, counters, and
-  /// subsequent loss() results are identical to probing serially in
-  /// `indices` order.
-  void prefetch(const tangle::TangleView& view,
-                std::span<const tangle::TxIndex> indices);
+  /// Losses of the payloads of `indices` on the validation split, in
+  /// order. Every not-yet-memoized index is probed in one group through
+  /// the engine's fused multi-model pass, so a walk branch pays one grouped
+  /// evaluation instead of one standalone forward per approver. Memo
+  /// contents and counters are identical to probing serially in `indices`
+  /// order.
+  std::vector<double> losses(const tangle::TangleView& view,
+                             std::span<const tangle::TxIndex> indices);
 
   /// Forward evaluations this cache instance paid for (engine cache hits
   /// are free and not counted).

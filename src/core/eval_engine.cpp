@@ -331,6 +331,8 @@ void EvalEngine::eval_many(std::span<const std::span<const float>> params,
   }
 
   obs::TraceScope span("eval.forward", &eval_us_histogram());
+  batched_group_counter().increment();
+  batched_model_counter().add(k);
   const std::size_t batches = batched.batch_count();
   std::vector<ModelLease> leases;
   leases.reserve(k);
@@ -393,34 +395,11 @@ void EvalEngine::eval_many(std::span<const std::span<const float>> params,
   }
 }
 
-EvalOutcome EvalEngine::payload_eval(const tangle::ModelStore& store,
-                                     tangle::PayloadId payload,
-                                     const BatchedSplit& batched) {
-  return params_eval(ParamsKey::single(payload), store.get(payload), batched);
-}
-
-EvalOutcome EvalEngine::params_eval(const ParamsKey& key,
-                                    std::span<const float> params,
-                                    const BatchedSplit& batched) {
-  const ResultKey result_key{key, batched.key()};
-  data::EvalResult cached;
-  if (lookup(result_key, cached)) {
-    cache_hit_counter().increment();
-    return EvalOutcome{cached, true};
-  }
-  cache_miss_counter().increment();
-  const data::EvalResult result = eval_one(params, batched);
-  insert(result_key, result);
-  return EvalOutcome{result, false};
-}
-
 std::vector<EvalOutcome> EvalEngine::evaluate_many(
     std::span<const EvalRequest> requests, const BatchedSplit& batched,
     ThreadPool* pool) {
   std::vector<EvalOutcome> outcomes(requests.size());
   if (requests.empty()) return outcomes;
-
-  batched_group_counter().increment();
 
   // Resolve cache hits up front so only misses enter the fused pass. A key
   // duplicated within the group is evaluated once: the first occurrence is
@@ -460,7 +439,6 @@ std::vector<EvalOutcome> EvalEngine::evaluate_many(
 
   std::vector<data::EvalResult> results(miss_requests.size());
   if (!miss_requests.empty()) {
-    batched_model_counter().add(miss_requests.size());
     std::vector<std::span<const float>> params(miss_requests.size());
     for (std::size_t slot = 0; slot < miss_requests.size(); ++slot) {
       params[slot] = requests[miss_requests[slot]].params;

@@ -131,11 +131,11 @@ struct EvalOutcome {
   bool cache_hit = false;
 };
 
-/// One probe in an evaluate_many group. A keyed request participates in the
-/// result cache exactly like payload_eval/params_eval; a keyless request
-/// (freshly trained weights with no payload identity) is always evaluated
-/// and never cached, matching evaluate(). `params` must stay valid for the
-/// duration of the call.
+/// One probe in an evaluate_many group. A keyed request (e.g. a reference
+/// model averaging the payloads its key names) participates in the result
+/// cache; a keyless request (freshly trained weights with no payload
+/// identity) is always evaluated and never cached, matching evaluate().
+/// `params` must stay valid for the duration of the call.
 struct EvalRequest {
   std::span<const float> params;
   std::optional<ParamsKey> key;
@@ -184,24 +184,14 @@ class EvalEngine {
   /// Uncached — for freshly trained parameters with no payload identity.
   data::EvalResult evaluate(nn::Model& model, const BatchedSplit& batched);
 
-  /// Cached evaluation of one store payload on `batched`: params_eval of
-  /// (ParamsKey::single(payload), store.get(payload)).
-  EvalOutcome payload_eval(const tangle::ModelStore& store,
-                           tangle::PayloadId payload,
-                           const BatchedSplit& batched);
-
-  /// Cached evaluation of `params` whose identity is `key` (e.g. a
-  /// reference model averaging the payloads named by the key). On a hit the
-  /// forward passes are skipped entirely.
-  EvalOutcome params_eval(const ParamsKey& key, std::span<const float> params,
-                          const BatchedSplit& batched);
-
-  /// Batched evaluation of a probe group: cache hits are resolved up front
-  /// (first occurrence of a duplicated key counts as the miss, later ones
-  /// as hits, mirroring the serial probe order) and only the misses enter
-  /// the fused pass, whose k×batches work grid runs on `pool`. outcomes[i]
-  /// is bit-identical to probing requests[i] alone, including the hit/miss
-  /// flags and the eval.cache.* totals.
+  /// Evaluation of a probe group — the one cached loss-probe entry point.
+  /// Cache hits are resolved up front (first occurrence of a duplicated key
+  /// counts as the miss, later ones as hits, mirroring the serial probe
+  /// order); on a hit the forward passes are skipped entirely. Two or more
+  /// misses enter the fused pass, whose k×batches work grid runs on `pool`;
+  /// a lone miss takes the standalone forward. outcomes[i] is bit-identical
+  /// to probing requests[i] alone, including the hit/miss flags and the
+  /// eval.cache.* totals.
   std::vector<EvalOutcome> evaluate_many(std::span<const EvalRequest> requests,
                                          const BatchedSplit& batched,
                                          ThreadPool* pool = nullptr);
@@ -251,6 +241,7 @@ class EvalEngine {
   /// Evaluates k parameter vectors; results[i] is bit-identical to
   /// eval_one(params[i], batched). Shares each activation batch's conv
   /// input pack across the k models and runs the k×batches grid on `pool`.
+  /// Only a fused pass (k >= 2) counts in eval.batched.{groups,models}.
   void eval_many(std::span<const std::span<const float>> params,
                  const BatchedSplit& batched,
                  std::span<data::EvalResult> results, ThreadPool* pool);

@@ -20,14 +20,12 @@ LedgerRuntime::LedgerRuntime(const data::FederatedDataset& dataset,
                              nn::ModelFactory factory,
                              const LedgerConfig& config,
                              const AttackConfig& attack,
-                             std::size_t view_slots, ThreadPool* cone_pool,
-                             ThreadPool* kernel_pool)
+                             std::size_t view_slots, ThreadPool* kernel_pool)
     : dataset_(&dataset),
       factory_(std::move(factory)),
       config_(config),
       attack_(attack),
       master_rng_(config.seed),
-      cone_pool_(cone_pool),
       kernel_pool_(kernel_pool),
       store_(),
       tangle_([&] {
@@ -73,7 +71,7 @@ LedgerRuntime::LedgerRuntime(const data::FederatedDataset& dataset,
 
 std::shared_ptr<const tangle::ViewCacheEntry> LedgerRuntime::cones(
     const tangle::TangleView& view) {
-  return view_cache_.get(view, cone_pool_);
+  return view_cache_.get(view);
 }
 
 bool LedgerRuntime::is_malicious(std::size_t user) const noexcept {

@@ -99,14 +99,11 @@ class LedgerRuntime {
  public:
   /// Builds the genesis ledger and draws the malicious population of
   /// `attack`. `view_slots` sizes the cone cache for the engine's view
-  /// pattern. `cone_pool` (optional) parallelizes cone builds and must not
-  /// be a pool whose workers call into this runtime; `kernel_pool`
-  /// (optional) runs intra-node NN kernels. Neither is owned. The dataset
-  /// must outlive the runtime.
+  /// pattern. `kernel_pool` (optional, not owned) runs intra-node NN
+  /// kernels. The dataset must outlive the runtime.
   LedgerRuntime(const data::FederatedDataset& dataset,
                 nn::ModelFactory factory, const LedgerConfig& config,
                 const AttackConfig& attack, std::size_t view_slots,
-                ThreadPool* cone_pool = nullptr,
                 ThreadPool* kernel_pool = nullptr);
 
   const data::FederatedDataset& dataset() const noexcept { return *dataset_; }
@@ -120,8 +117,7 @@ class LedgerRuntime {
     return malicious_users_;
   }
 
-  /// The shared cone cache entry for `view`. Call from the scheduling
-  /// thread, never from a worker of the cone pool.
+  /// The shared cone cache entry for `view`.
   std::shared_ptr<const tangle::ViewCacheEntry> cones(
       const tangle::TangleView& view);
 
@@ -200,7 +196,6 @@ class LedgerRuntime {
   const LedgerConfig config_;
   const AttackConfig attack_;
   Rng master_rng_;
-  ThreadPool* cone_pool_;
   ThreadPool* kernel_pool_;
   tangle::ModelStore store_;
   tangle::Tangle tangle_;

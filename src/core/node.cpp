@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <cmath>
+#include <span>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,13 +17,31 @@
 namespace tanglefl::core {
 namespace {
 
+obs::Counter& suppressed_non_finite_counter() {
+  static obs::Counter& counter = obs::MetricsRegistry::global().counter(
+      "node.step.suppressed.non_finite");
+  return counter;
+}
+
+/// A node whose training diverged (a NaN or ±inf weight) abstains: a NaN
+/// loss would pass the publish gate, and a quantize stage cannot encode it.
+/// Counts the abstention.
+bool diverged(std::span<const float> params) {
+  const bool finite = std::all_of(params.begin(), params.end(),
+                                  [](float v) { return std::isfinite(v); });
+  if (!finite) suppressed_non_finite_counter().increment();
+  return !finite;
+}
+
 /// Broadcast(w_new): the publisher encodes its payload through the
 /// engine's codec and hashes (and chunks) it for the ledger, so that work
 /// is part of its own step and runs in parallel with the other nodes'. The
-/// engine's ledger barrier then only inserts the prepared payload.
-PublishRequest publish(const NodeContext& context,
-                       std::vector<tangle::TxIndex> parents,
-                       nn::ParamVector params) {
+/// engine's ledger barrier then only inserts the prepared payload. Diverged
+/// parameters are never broadcast (the attack nodes reach here ungated).
+std::optional<PublishRequest> publish(const NodeContext& context,
+                                      std::vector<tangle::TxIndex> parents,
+                                      nn::ParamVector params) {
+  if (diverged(params)) return std::nullopt;
   params = context.pipeline.process(std::move(params), parents,
                                    context.view.tangle(), context.store);
   return PublishRequest{std::move(parents),
@@ -223,6 +243,7 @@ std::optional<PublishRequest> HonestNode::step(NodeContext& context,
   // Publishing-side transforms: the node validates exactly what it would
   // broadcast, so sanitized/compressed payloads face the same gate.
   nn::ParamVector outgoing = model.get_parameters();
+  if (diverged(outgoing)) return std::nullopt;
   if (config_.use_dp) {
     Rng dp_rng = context.rng.split(streams::kDp);
     outgoing = nn::dp_sanitize(outgoing, averaged, config_.dp, dp_rng);
@@ -253,8 +274,10 @@ std::optional<PublishRequest> HonestNode::step(NodeContext& context,
     return std::nullopt;
   }
 
-  published_counter().increment();
-  return publish(context, parents, std::move(outgoing));
+  std::optional<PublishRequest> request =
+      publish(context, parents, std::move(outgoing));
+  if (request) published_counter().increment();
+  return request;
 }
 
 std::optional<PublishRequest> RandomPoisonNode::step(

@@ -56,7 +56,7 @@ TangleSimulation::TangleSimulation(const data::FederatedDataset& dataset,
       kernel_pool_(config_.kernel_threads > 1
                        ? std::make_unique<ThreadPool>(config_.kernel_threads)
                        : nullptr),
-      runtime_(dataset, std::move(factory), config_, config_, 4, &pool_,
+      runtime_(dataset, std::move(factory), config_, config_, 4,
                kernel_pool_.get()) {}
 
 std::size_t TangleSimulation::run_round(std::uint64_t round) {

@@ -1,6 +1,5 @@
 #include "obs/timeline.hpp"
 
-#include <algorithm>
 #include <array>
 #include <fstream>
 #include <set>
@@ -184,16 +183,17 @@ void RegistrySampler::sample(Timeline& timeline, std::uint64_t round) {
     last = h.bucket_counts;
     timeline.record(round, h.name + ".count",
                     static_cast<double>(window_count));
-    // Windowed quantiles from this round's bucket deltas. The run-wide
-    // min/max anchor the edge buckets: still deterministic, slightly wider
-    // than the true window extremes.
+    // Windowed quantiles from this round's bucket deltas. The edge buckets
+    // are anchored on the layout, as Prometheus does: 0 below the first
+    // bound, the last bound for the overflow bucket. The histogram's
+    // min/max span the whole process, so anchoring on them would make a
+    // row depend on what ran earlier.
+    const double top = h.upper_bounds.empty() ? 0.0 : h.upper_bounds.back();
     static constexpr std::array<std::pair<double, const char*>, 3> kQuantiles{
         {{0.50, ".p50"}, {0.90, ".p90"}, {0.99, ".p99"}}};
     for (const auto& [q, suffix] : kQuantiles) {
-      const double value =
-          std::clamp(bucket_quantile(h.upper_bounds, delta, q, h.min, h.max),
-                     h.min, h.max);
-      timeline.record(round, h.name + suffix, value);
+      timeline.record(round, h.name + suffix,
+                      bucket_quantile(h.upper_bounds, delta, q, 0.0, top));
     }
   }
 }

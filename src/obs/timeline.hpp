@@ -82,7 +82,9 @@ class RegistrySampler {
   ///   gauge     -> `<name>` = current value
   ///   histogram -> `<name>.count` = samples recorded this round, plus
   ///                `<name>.p50/.p90/.p99` estimated from the round's
-  ///                bucket-count deltas.
+  ///                bucket-count deltas, with the edge buckets anchored on
+  ///                the layout (0 below the first bound, the last bound
+  ///                for overflow) rather than on process-lifetime min/max.
   /// Emission is activity-based: zero counter deltas, gauges never set()
   /// since sampler construction, and empty histogram windows emit nothing
   /// (absence means zero). Registration alone never produces a series, so

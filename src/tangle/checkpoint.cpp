@@ -7,9 +7,7 @@ namespace tanglefl::tangle {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x544e474c;  // "TNGL"
-constexpr std::uint32_t kVersionLegacy = 1;   // flag-less store, no frontier
-constexpr std::uint32_t kVersionFlat = 2;     // liveness flags, no chunk table
-constexpr std::uint32_t kVersion = 3;         // chunked-store capable
+constexpr std::uint32_t kVersion = 3;
 
 /// Satellite integrity check: every transaction's payload handle must
 /// resolve in the restored store and hash to what the header recorded.
@@ -67,33 +65,23 @@ Tangle load_ledger(const std::string& path, ModelStore& store,
   if (reader.read_u32() != kMagic) {
     throw SerializeError("load_ledger: bad magic");
   }
-  const std::uint32_t version = reader.read_u32();
-  if (version != kVersionLegacy && version != kVersionFlat &&
-      version != kVersion) {
+  if (reader.read_u32() != kVersion) {
     throw SerializeError("load_ledger: unsupported version");
   }
   Tangle tangle = Tangle::deserialize(reader);
+  ModelStore::deserialize_into(reader, store);
+  const std::uint64_t floor = reader.read_u64();
+  if (floor >= tangle.size()) {
+    throw SerializeError("load_ledger: prune frontier outside the ledger");
+  }
+  if (floor > 0) tangle.set_prune_floor(floor);
   ConeStateCheckpoint sidecar;
-  if (version == kVersionLegacy) {
-    ModelStore::deserialize_into_v1(reader, store);
-  } else {
-    if (version == kVersionFlat) {
-      ModelStore::deserialize_into_v2(reader, store);
-    } else {
-      ModelStore::deserialize_into(reader, store);
-    }
-    const std::uint64_t floor = reader.read_u64();
-    if (floor >= tangle.size()) {
-      throw SerializeError("load_ledger: prune frontier outside the ledger");
-    }
-    if (floor > 0) tangle.set_prune_floor(floor);
-    if (reader.read_u8() == 1) {
-      sidecar.past = reader.read_u32_vector();
-      sidecar.future = reader.read_u32_vector();
-      if (sidecar.past.size() != tangle.size() ||
-          sidecar.future.size() != tangle.size()) {
-        throw SerializeError("load_ledger: cone-state size mismatch");
-      }
+  if (reader.read_u8() == 1) {
+    sidecar.past = reader.read_u32_vector();
+    sidecar.future = reader.read_u32_vector();
+    if (sidecar.past.size() != tangle.size() ||
+        sidecar.future.size() != tangle.size()) {
+      throw SerializeError("load_ledger: cone-state size mismatch");
     }
   }
   if (!reader.exhausted()) {

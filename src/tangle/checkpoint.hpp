@@ -3,10 +3,11 @@
 // attack studies) can be snapshotted and resumed. The format is the binary
 // serialization of both structures behind a magic/version header.
 //
-// Version 2 additionally persists the prune frontier and (optionally) the
-// incremental cone-state vectors, so a pruned ledger resumes with exactly
-// the cone values — historical-floor approximations included — the saving
-// run had. Version 1 files still load (frontier 0, no cone state).
+// The one format is version 3. Besides the tangle and the store (flat or
+// chunked, released entries hash-only) it persists the prune frontier and
+// (optionally) the incremental cone-state vectors, so a pruned ledger
+// resumes with exactly the cone values — historical-floor approximations
+// included — the saving run had. Any other version throws SerializeError.
 #pragma once
 
 #include <cstdint>

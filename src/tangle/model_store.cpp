@@ -1,5 +1,6 @@
 #include "tangle/model_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -56,6 +57,25 @@ obs::Histogram& add_timing_histogram() {
 std::span<const std::uint8_t> param_bytes(std::span<const float> params) {
   return {reinterpret_cast<const std::uint8_t*>(params.data()),
           params.size() * sizeof(float)};
+}
+
+/// Reassembles one chunked-body payload from its chunk-id span; add()
+/// re-chunks it deterministically (same content, same cutter parameters).
+nn::ParamVector read_chunked_params(
+    ByteReader& reader, const std::vector<std::vector<std::uint8_t>>& slots) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint32_t slot : reader.read_u32_vector()) {
+    if (slot >= slots.size()) {
+      throw SerializeError("ModelStore: chunk id out of range");
+    }
+    bytes.insert(bytes.end(), slots[slot].begin(), slots[slot].end());
+  }
+  if (bytes.size() % sizeof(float) != 0) {
+    throw SerializeError("ModelStore: chunked payload not float-sized");
+  }
+  nn::ParamVector params(bytes.size() / sizeof(float));
+  if (!bytes.empty()) std::memcpy(params.data(), bytes.data(), bytes.size());
+  return params;
 }
 
 }  // namespace
@@ -262,104 +282,59 @@ std::size_t ModelStore::chunk_count() const {
 void ModelStore::serialize(ByteWriter& writer) const {
   ReaderLock lock(mutex_);
   writer.write_u8(chunking_ ? 1 : 0);
-  if (!chunking_) {
-    // Flat body: byte-identical to the v2 store section.
-    writer.write_u64(entries_.size());
-    for (const auto& entry : entries_) {
-      // Liveness flag per entry: released payloads persist hash-only, so a
-      // pruned ledger's dump shrinks with its store.
-      writer.write_u8(entry.released ? 0 : 1);
-      if (entry.released) {
-        writer.write_bytes(entry.hash);
-      } else {
-        writer.write_f32_span(entry.params);
-      }
-    }
-    return;
+  if (chunking_) {
+    writer.write_u64(chunk_params_.min_bytes);
+    writer.write_u64(chunk_params_.max_bytes);
+    writer.write_u32(chunk_params_.mask_bits);
+    // Each unique chunk's bytes are written once; freed slots persist as
+    // empty byte strings so live entries' slot ids stay meaningful.
+    writer.write_u64(chunks_.size());
+    for (const auto& chunk : chunks_) writer.write_bytes(chunk.bytes);
   }
-  writer.write_u64(chunk_params_.min_bytes);
-  writer.write_u64(chunk_params_.max_bytes);
-  writer.write_u32(chunk_params_.mask_bits);
-  // Each unique chunk's bytes are written once; freed slots persist as
-  // empty byte strings so live entries' slot ids stay meaningful.
-  writer.write_u64(chunks_.size());
-  for (const auto& chunk : chunks_) writer.write_bytes(chunk.bytes);
   writer.write_u64(entries_.size());
   for (const auto& entry : entries_) {
+    // Liveness flag per entry: released payloads persist hash-only, so a
+    // pruned ledger's dump shrinks with its store.
     writer.write_u8(entry.released ? 0 : 1);
     if (entry.released) {
       writer.write_bytes(entry.hash);
-    } else {
+    } else if (chunking_) {
       writer.write_u32_span(entry.chunk_ids);
+    } else {
+      writer.write_f32_span(entry.params);
     }
   }
 }
 
 void ModelStore::deserialize_into(ByteReader& reader, ModelStore& store) {
   const std::uint8_t chunked = reader.read_u8();
-  if (chunked == 0) {
-    deserialize_into_v2(reader, store);
-    return;
-  }
-  if (chunked != 1) {
+  if (chunked > 1) {
     throw SerializeError("ModelStore: bad chunked flag");
   }
-  ChunkParams params;
-  params.min_bytes = reader.read_u64();
-  params.max_bytes = reader.read_u64();
-  params.mask_bits = reader.read_u32();
-  store.configure_chunking(params);  // validates; store must be empty
-  const std::uint64_t chunk_slots = reader.read_u64();
   std::vector<std::vector<std::uint8_t>> slots;
-  slots.reserve(chunk_slots);
-  for (std::uint64_t i = 0; i < chunk_slots; ++i) {
-    slots.push_back(reader.read_bytes());
+  if (chunked == 1) {
+    ChunkParams params;
+    params.min_bytes = reader.read_u64();
+    params.max_bytes = reader.read_u64();
+    params.mask_bits = reader.read_u32();
+    store.configure_chunking(params);  // validates; store must be empty
+    // Each slot carries at least its 8-byte length prefix, so a count the
+    // remaining bytes cannot hold is hostile: reserve no more than they can
+    // and let the reads below throw.
+    const std::uint64_t chunk_slots = reader.read_u64();
+    slots.reserve(std::min<std::uint64_t>(
+        chunk_slots, reader.remaining() / sizeof(std::uint64_t)));
+    for (std::uint64_t i = 0; i < chunk_slots; ++i) {
+      slots.push_back(reader.read_bytes());
+    }
   }
   const std::uint64_t count = reader.read_u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     const std::uint8_t live = reader.read_u8();
     if (live == 1) {
-      // Reassemble the payload bytes from its chunk ids; add() re-chunks
-      // deterministically (same content, same cutter parameters).
-      std::vector<std::uint8_t> bytes;
-      for (const std::uint32_t slot : reader.read_u32_vector()) {
-        if (slot >= slots.size()) {
-          throw SerializeError("ModelStore: chunk id out of range");
-        }
-        bytes.insert(bytes.end(), slots[slot].begin(), slots[slot].end());
-      }
-      if (bytes.size() % sizeof(float) != 0) {
-        throw SerializeError("ModelStore: chunked payload not float-sized");
-      }
-      nn::ParamVector params_vec(bytes.size() / sizeof(float));
-      if (!bytes.empty()) {
-        std::memcpy(params_vec.data(), bytes.data(), bytes.size());
-      }
-      const auto added = store.add(std::move(params_vec));
-      if (added.id != i) {
-        throw SerializeError("ModelStore: duplicate payload in dump");
-      }
-      continue;
-    }
-    if (live != 0) {
-      throw SerializeError("ModelStore: bad payload liveness flag");
-    }
-    const std::vector<std::uint8_t> hash_bytes = reader.read_bytes();
-    Sha256Digest hash{};
-    if (hash_bytes.size() != hash.size()) {
-      throw SerializeError("ModelStore: bad released payload hash size");
-    }
-    std::memcpy(hash.data(), hash_bytes.data(), hash.size());
-    store.add_released(hash);
-  }
-}
-
-void ModelStore::deserialize_into_v2(ByteReader& reader, ModelStore& store) {
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint8_t live = reader.read_u8();
-    if (live == 1) {
-      const auto added = store.add(reader.read_f32_vector());
+      const auto added = store.add(chunked == 1
+                                       ? read_chunked_params(reader, slots)
+                                       : reader.read_f32_vector());
       if (added.id != i) {
         // Duplicate payloads collapse on re-add; a well-formed dump never
         // contains duplicates because add() deduplicated on write.
@@ -377,16 +352,6 @@ void ModelStore::deserialize_into_v2(ByteReader& reader, ModelStore& store) {
     }
     std::memcpy(hash.data(), hash_bytes.data(), hash.size());
     store.add_released(hash);
-  }
-}
-
-void ModelStore::deserialize_into_v1(ByteReader& reader, ModelStore& store) {
-  const std::uint64_t count = reader.read_u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto added = store.add(reader.read_f32_vector());
-    if (added.id != i) {
-      throw SerializeError("ModelStore: duplicate payload in dump");
-    }
   }
 }
 

@@ -140,16 +140,14 @@ class ModelStore {
   /// Binary round trip of all payloads (ids are preserved, so transaction
   /// payload handles stay valid across save/load). The store is not
   /// movable (it owns a mutex), so deserialization fills an existing empty
-  /// instance. The current (v3) format leads with a chunked? flag byte:
-  /// flat stores serialize exactly the v2 body after it, chunked stores a
-  /// chunk-slot table plus per-entry chunk-id spans. deserialize_into_v2
-  /// reads the v2 body (liveness flags, no chunk flag);
-  /// deserialize_into_v1 the flag-less legacy format. Loading a chunked
-  /// dump configures chunking on `store` from the recorded parameters.
+  /// instance. The format leads with a chunked? flag byte; chunked stores
+  /// then write their cutter parameters and chunk-slot table. One entry
+  /// list follows either way: a liveness flag per entry, then the params
+  /// (flat) or chunk-id span (chunked) of a live entry, or the hash of a
+  /// released one. Loading a chunked dump configures chunking on `store`
+  /// from the recorded parameters.
   void serialize(ByteWriter& writer) const;
   static void deserialize_into(ByteReader& reader, ModelStore& store);
-  static void deserialize_into_v2(ByteReader& reader, ModelStore& store);
-  static void deserialize_into_v1(ByteReader& reader, ModelStore& store);
 
  private:
   struct Entry {

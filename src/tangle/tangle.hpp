@@ -64,8 +64,9 @@ class TangleView {
 
   /// Number of transactions each transaction directly or indirectly
   /// approves (excluding itself), indexed by TxIndex. This pass and
-  /// future_cone_sizes() are the from-scratch oracle for the invariant
-  /// audit and tests; consensus code reads cones from a ViewCacheEntry.
+  /// future_cone_sizes() are the from-scratch cone computation: the full
+  /// ViewCacheEntry build, the invariant audit and the tests call them;
+  /// consensus code reads cones from a ViewCacheEntry.
   std::vector<std::uint32_t> past_cone_sizes() const;
 
   /// Number of transactions directly or indirectly approving each

@@ -31,20 +31,6 @@ obs::Counter& walk_branch_counter() {
   return counter;
 }
 
-obs::Counter& uniform_counter() {
-  static obs::Counter& counter =
-      obs::MetricsRegistry::global().counter("tangle.tip_walk.uniform_count");
-  return counter;
-}
-
-/// Uniform draw from a precomputed tip set (URTS hot path).
-template <typename Tips>
-TxIndex uniform_from(const Tips& tips, Rng& rng) {
-  uniform_counter().increment();
-  if (tips.empty()) return 0;  // genesis
-  return tips[rng.uniform_index(tips.size())];
-}
-
 }  // namespace
 
 TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
@@ -87,21 +73,11 @@ TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
   }
 }
 
-TxIndex uniform_random_tip(const TangleView& view, Rng& rng) {
-  return uniform_from(view.tips(), rng);
-}
-
 std::vector<TxIndex> select_tips(const ViewCacheEntry& cones,
                                  std::size_t count, Rng& rng,
                                  const TipSelectionConfig& config) {
   std::vector<TxIndex> tips;
   tips.reserve(count);
-  if (config.method == TipSelectionMethod::kUniform) {
-    for (std::size_t i = 0; i < count; ++i) {
-      tips.push_back(uniform_from(cones.tips(), rng));
-    }
-    return tips;
-  }
   for (std::size_t i = 0; i < count; ++i) {
     tips.push_back(random_walk_tip(cones, rng, config));
   }

@@ -20,20 +20,9 @@ namespace tanglefl::tangle {
 
 class ViewCacheEntry;
 
-enum class TipSelectionMethod {
-  kWeightedWalk,  // MCMC walk biased by cumulative weight (IOTA default)
-  kUniform,       // uniform random tip selection (URTS, [18] in the paper)
-};
-
 struct TipSelectionConfig {
-  TipSelectionMethod method = TipSelectionMethod::kWeightedWalk;
   double alpha = 0.01;  // walk bias towards heavier branches
 };
-
-/// Uniformly random member of view.tips() — URTS. Cheap but offers no
-/// protection against lazy/parasite chains, which is why IOTA (and the
-/// paper) use the weighted walk; exposed for comparison experiments.
-TxIndex uniform_random_tip(const TangleView& view, Rng& rng);
 
 /// One weighted random walk over the view a prebuilt cone cache entry
 /// describes (see tangle/view_cache.hpp), from the entry's root; returns
@@ -43,8 +32,7 @@ TxIndex random_walk_tip(const ViewCacheEntry& cones, Rng& rng,
 
 /// Runs `count` independent walks over `cones` and returns the reached tips
 /// (duplicates possible — two walks may end at the same tip, and the paper
-/// allows the two chosen tips to coincide). Under kUniform each draw picks
-/// from the entry's tip set.
+/// allows the two chosen tips to coincide).
 std::vector<TxIndex> select_tips(const ViewCacheEntry& cones,
                                  std::size_t count, Rng& rng,
                                  const TipSelectionConfig& config);

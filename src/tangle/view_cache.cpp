@@ -1,12 +1,9 @@
 #include "tangle/view_cache.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cassert>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "support/thread_pool.hpp"
 
 namespace tanglefl::tangle {
 namespace {
@@ -33,7 +30,8 @@ obs::Counter& eviction_counter() {
 
 // An entry build performs one past- and one future-cone pass. This is the
 // only source of the counter, so it means "full BitMatrix cone passes"; the
-// audit-only TangleView::{past,future}_cone_sizes() passes do not count.
+// invariant audit's direct TangleView::{past,future}_cone_sizes() calls do
+// not count.
 obs::Counter& cone_recompute_counter() {
   static obs::Counter& counter =
       obs::MetricsRegistry::global().counter("tangle.cone_recompute.count");
@@ -63,10 +61,6 @@ obs::Histogram& incremental_build_timing_histogram() {
   return hist;
 }
 
-// Below this view size the parallel fill's fork/join overhead outweighs the
-// O(n^2/64) work; measured crossover is a few thousand transactions.
-constexpr std::size_t kParallelMinCount = 2048;
-
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
@@ -94,81 +88,6 @@ std::uint64_t hash_words(std::span<const std::uint64_t> words) {
   return h;
 }
 
-/// One word-column slice [word_begin, word_end) of the two reachability
-/// passes. `bits` is the shared row-major matrix; slices write disjoint
-/// words of every row, so concurrent slices never touch the same byte.
-/// Popcounts accumulate into the caller-provided partial vectors.
-struct ConeSlice {
-  const TangleView* view;
-  const std::vector<std::uint32_t>* offsets;  // CSR of in-view approvers
-  const std::vector<TxIndex>* edges;
-  std::uint64_t* bits;
-  std::size_t words;  // full row stride
-  std::size_t word_begin;
-  std::size_t word_end;
-  std::vector<std::uint32_t>* past_partial;
-  std::vector<std::uint32_t>* future_partial;
-
-  void set_bit(std::uint64_t* row, std::size_t bit) const {
-    const std::size_t word = bit / 64;
-    if (word >= word_begin && word < word_end) {
-      row[word] |= (1ULL << (bit % 64));
-    }
-  }
-
-  void or_row(std::uint64_t* dst, const std::uint64_t* src) const {
-    for (std::size_t w = word_begin; w < word_end; ++w) dst[w] |= src[w];
-  }
-
-  std::uint32_t popcount_row(const std::uint64_t* row) const {
-    std::uint32_t count = 0;
-    for (std::size_t w = word_begin; w < word_end; ++w) {
-      count += static_cast<std::uint32_t>(std::popcount(row[w]));
-    }
-    return count;
-  }
-
-  void zero_rows(std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t* row = bits + i * words;
-      std::fill(row + word_begin, row + word_end, 0);
-    }
-  }
-
-  void run() const {
-    const std::size_t n = view->size();
-    const Tangle& tangle = view->tangle();
-    // Past pass: parents precede children, so one ascending pass closes
-    // the transitive past relation (masked views are ancestor-closed).
-    for (TxIndex i = 1; i < n; ++i) {
-      if (!view->contains(i)) continue;
-      std::uint64_t* row = bits + i * words;
-      for (const TxIndex p : tangle.parent_indices(i)) {
-        assert(p < i);
-        set_bit(row, p);
-        or_row(row, bits + p * words);
-      }
-      (*past_partial)[i] = popcount_row(row);
-    }
-    // Future pass over the same buffer: zero this slice, then one
-    // descending pass over the in-view approver CSR.
-    zero_rows(n);
-    for (TxIndex ii = n; ii > 0; --ii) {
-      const TxIndex i = ii - 1;
-      if (!view->contains(i)) continue;
-      std::uint64_t* row = bits + i * words;
-      const std::uint32_t begin = (*offsets)[i];
-      const std::uint32_t end = (*offsets)[i + 1];
-      for (std::uint32_t e = begin; e < end; ++e) {
-        const TxIndex child = (*edges)[e];
-        set_bit(row, child);
-        or_row(row, bits + child * words);
-      }
-      (*future_partial)[i] = popcount_row(row);
-    }
-  }
-};
-
 }  // namespace
 
 void ViewCacheEntry::fill_topology(const TangleView& view) {
@@ -195,55 +114,16 @@ void ViewCacheEntry::fill_topology(const TangleView& view) {
 }
 
 std::shared_ptr<const ViewCacheEntry> ViewCacheEntry::build(
-    const TangleView& view, ThreadPool* pool) {
+    const TangleView& view) {
   obs::TraceScope span("tangle.view_cache.build", &build_timing_histogram());
   cone_recompute_counter().add(2);  // one past + one future pass
 
   auto entry = std::shared_ptr<ViewCacheEntry>(new ViewCacheEntry());
-  const std::size_t n = view.size();
-  entry->count_ = n;
+  entry->count_ = view.size();
   entry->root_ = view.tangle().prune_floor();
-  entry->past_.assign(n, 0);
-  entry->future_.assign(n, 0);
+  entry->past_ = view.past_cone_sizes();
+  entry->future_ = view.future_cone_sizes();
   entry->fill_topology(view);
-  if (n <= 1) return entry;
-
-  const std::size_t words = (n + 63) / 64;
-  std::vector<std::uint64_t> bits(n * words, 0);
-
-  std::size_t slices = 1;
-  if (pool != nullptr && pool->thread_count() > 1 && n >= kParallelMinCount) {
-    slices = std::min(words, pool->thread_count());
-  }
-
-  if (slices == 1) {
-    ConeSlice slice{&view,        &entry->offsets_, &entry->edges_,
-                    bits.data(),  words,            0,
-                    words,        &entry->past_,    &entry->future_};
-    slice.run();
-  } else {
-    // Each slice owns a word range of every row plus its own partial
-    // popcount vectors; the reduction below is a plain integer sum, so the
-    // result is bit-identical to the serial fill for any slice count.
-    std::vector<std::vector<std::uint32_t>> past_partials(
-        slices, std::vector<std::uint32_t>(n, 0));
-    std::vector<std::vector<std::uint32_t>> future_partials(
-        slices, std::vector<std::uint32_t>(n, 0));
-    pool->parallel_for(slices, [&](std::size_t s) {
-      const std::size_t begin = words * s / slices;
-      const std::size_t end = words * (s + 1) / slices;
-      ConeSlice slice{&view,       &entry->offsets_,  &entry->edges_,
-                      bits.data(), words,             begin,
-                      end,         &past_partials[s], &future_partials[s]};
-      slice.run();
-    });
-    for (std::size_t s = 0; s < slices; ++s) {
-      for (TxIndex i = 0; i < n; ++i) {
-        entry->past_[i] += past_partials[s][i];
-        entry->future_[i] += future_partials[s][i];
-      }
-    }
-  }
   return entry;
 }
 
@@ -266,8 +146,7 @@ std::shared_ptr<const ViewCacheEntry> ViewCacheEntry::build_incremental(
   return entry;
 }
 
-std::shared_ptr<const ViewCacheEntry> ViewCache::get(const TangleView& view,
-                                                     ThreadPool* pool) {
+std::shared_ptr<const ViewCacheEntry> ViewCache::get(const TangleView& view) {
   const std::vector<std::uint64_t> mask_words = pack_membership(view);
   const std::uint64_t mask_hash =
       mask_words.empty() ? 0 : hash_words(mask_words);
@@ -316,7 +195,7 @@ std::shared_ptr<const ViewCacheEntry> ViewCache::get(const TangleView& view,
         cone_state_.processed() <= view.size()) {
       slot.entry = ViewCacheEntry::build_incremental(view, cone_state_);
     } else {
-      slot.entry = ViewCacheEntry::build(view, pool);
+      slot.entry = ViewCacheEntry::build(view);
     }
     slot.last_used = tick_;
     if (capacity_ > 0 && slots_.size() >= capacity_) {
@@ -334,15 +213,6 @@ std::shared_ptr<const ViewCacheEntry> ViewCache::get(const TangleView& view,
     }
   }
   return result;
-}
-
-void ViewCache::clear() {
-  // Swap out under the lock, destroy outside it (see get()).
-  std::vector<Slot> dropped;
-  {
-    MutexLock lock(mutex_);
-    dropped.swap(slots_);
-  }
 }
 
 std::size_t ViewCache::size() const {

@@ -10,11 +10,9 @@
 // TangleView::approvers().
 //
 // ViewCacheEntry computes everything once per view:
-//   * past/future cone size vectors (one bitset-reachability pass each,
-//     optionally parallelized over 64-bit word blocks on a ThreadPool —
-//     the word-sliced recurrence row[i] |= row[parent] is independent per
-//     word column, so the fill partitions perfectly and the popcount
-//     reduction is a deterministic integer sum),
+//   * past/future cone size vectors (a delta fold of the transactions
+//     appended since the last build for growing prefix views, otherwise
+//     TangleView's bitset-reachability passes),
 //   * the tip set, and
 //   * a flat CSR adjacency snapshot of in-view approver lists, so a walk
 //     step is a span lookup instead of a filtered vector allocation.
@@ -35,8 +33,7 @@
 //   * thread-safety — get() takes an internal mutex and may block to
 //     build; entries are immutable after construction and shared via
 //     shared_ptr, so any number of threads may *read* a returned entry
-//     concurrently. Do not call get() from inside a ThreadPool worker of
-//     the pool passed to it (the parallel fill would run inline).
+//     concurrently.
 #pragma once
 
 #include <cstdint>
@@ -49,20 +46,14 @@
 #include "tangle/incremental_cones.hpp"
 #include "tangle/tangle.hpp"
 
-namespace tanglefl {
-class ThreadPool;
-}
-
 namespace tanglefl::tangle {
 
 /// Immutable snapshot of everything consensus queries need from one view.
 class ViewCacheEntry {
  public:
-  /// Computes all derived quantities for `view`. When `pool` is non-null
-  /// and the view is large enough, the cone fills are parallelized over
-  /// word blocks; results are bit-identical regardless of thread count.
-  static std::shared_ptr<const ViewCacheEntry> build(
-      const TangleView& view, ThreadPool* pool = nullptr);
+  /// Computes all derived quantities for `view` from scratch: the cone
+  /// vectors are TangleView::past_cone_sizes()/future_cone_sizes().
+  static std::shared_ptr<const ViewCacheEntry> build(const TangleView& view);
 
   /// Delta build for prefix(-equivalent) views: advances `state` to
   /// view.size() — folding in only the transactions appended since the
@@ -135,13 +126,7 @@ class ViewCache {
 
   /// Returns the entry for `view`, building it on a miss. Hits and misses
   /// are counted in the tangle.view_cache.{hit,miss} metrics.
-  std::shared_ptr<const ViewCacheEntry> get(const TangleView& view,
-                                            ThreadPool* pool = nullptr);
-
-  /// Drops every cached entry (outstanding shared_ptrs stay valid). The
-  /// incremental cone state survives — it describes the tangle, not the
-  /// entries.
-  void clear();
+  std::shared_ptr<const ViewCacheEntry> get(const TangleView& view);
 
   /// Copies of the incremental cone-state vectors, for checkpointing a
   /// pruned ledger (tangle/checkpoint.hpp). Both empty when the state has

@@ -49,15 +49,6 @@ inline std::vector<TxIndex> select_tips(const TangleView& view,
                                         std::size_t count, Rng& rng,
                                         const TipSelectionConfig& config) {
   std::vector<TxIndex> tips;
-  if (config.method == TipSelectionMethod::kUniform) {
-    const std::vector<TxIndex> tip_set = view.tips();
-    for (std::size_t i = 0; i < count; ++i) {
-      tips.push_back(tip_set.empty()
-                         ? 0
-                         : tip_set[rng.uniform_index(tip_set.size())]);
-    }
-    return tips;
-  }
   const std::vector<std::uint32_t> future = view.future_cone_sizes();
   for (std::size_t i = 0; i < count; ++i) {
     tips.push_back(random_walk_tip(view, future, rng, config));

@@ -5,7 +5,6 @@
 #include "data/poison.hpp"
 #include "data/training.hpp"
 #include "nn/model_zoo.hpp"
-#include "tangle/view_cache.hpp"
 
 namespace tanglefl {
 namespace {
@@ -182,30 +181,6 @@ TEST(BackdoorSimulation, AttackRunsAndRecordsMetric) {
     if (sim.tangle().transaction(i).publisher == "malicious") ++malicious;
   }
   EXPECT_GT(malicious, 0u);
-}
-
-TEST(UniformTipSelection, ReturnsOnlyTips) {
-  tangle::ModelStore store;
-  const auto genesis = store.add({0.0f});
-  tangle::Tangle tangle(genesis.id, genesis.hash);
-  for (int i = 0; i < 5; ++i) {
-    const auto added = store.add({static_cast<float>(i) + 1.0f});
-    tangle.add_transaction(std::vector<tangle::TxIndex>{0}, added.id,
-                           added.hash, 1);
-  }
-  Rng rng(1);
-  tangle::TipSelectionConfig config;
-  config.method = tangle::TipSelectionMethod::kUniform;
-  const auto tips = tangle::select_tips(*tangle::ViewCacheEntry::build(tangle.view()), 100, rng, config);
-  const auto tip_set = tangle.view().tips();
-  std::vector<int> hits(tangle.size(), 0);
-  for (const auto t : tips) {
-    EXPECT_TRUE(std::find(tip_set.begin(), tip_set.end(), t) !=
-                tip_set.end());
-    ++hits[t];
-  }
-  // Roughly uniform across the 5 tips.
-  for (const auto t : tip_set) EXPECT_GT(hits[t], 5);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "core/eval_engine.hpp"
 #include "core/node.hpp"
 #include "data/femnist_synth.hpp"
@@ -89,8 +92,9 @@ TEST(LocalLossCache, MemoizesEvaluations) {
   const tangle::TxIndex a = f.add({0}, f.good_params(), 1);
   LocalLossCache cache = f.loss_cache(f.validation);
   const tangle::TangleView view = f.tangle.view();
-  const double first = cache.loss(view, a);
-  const double second = cache.loss(view, a);
+  const std::array<tangle::TxIndex, 1> indices{a};
+  const double first = cache.losses(view, indices).front();
+  const double second = cache.losses(view, indices).front();
   EXPECT_DOUBLE_EQ(first, second);
   EXPECT_EQ(cache.evaluations(), 1u);
 }
@@ -100,8 +104,9 @@ TEST(LocalLossCache, GoodModelScoresLower) {
   const tangle::TxIndex good = f.add({0}, f.good_params(), 1);
   const tangle::TxIndex bad = f.add({0}, f.bad_params(), 1);
   LocalLossCache cache = f.loss_cache(f.validation);
-  const tangle::TangleView view = f.tangle.view();
-  EXPECT_LT(cache.loss(view, good), cache.loss(view, bad));
+  const std::array<tangle::TxIndex, 2> indices{good, bad};
+  const std::vector<double> losses = cache.losses(f.tangle.view(), indices);
+  EXPECT_LT(losses[0], losses[1]);
 }
 
 TEST(LocalLossCache, EmptyValidationIsZero) {
@@ -109,7 +114,9 @@ TEST(LocalLossCache, EmptyValidationIsZero) {
   const tangle::TxIndex a = f.add({0}, f.bad_params(), 1);
   const data::DataSplit empty;
   LocalLossCache cache = f.loss_cache(empty);
-  EXPECT_DOUBLE_EQ(cache.loss(f.tangle.view(), a), 0.0);
+  const std::array<tangle::TxIndex, 1> indices{a};
+  EXPECT_EQ(cache.losses(f.tangle.view(), indices),
+            std::vector<double>{0.0});
   EXPECT_EQ(cache.evaluations(), 0u);
 }
 

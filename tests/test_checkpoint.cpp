@@ -341,53 +341,34 @@ void write_file(const std::string& path, const ByteWriter& writer) {
             static_cast<std::streamsize>(bytes.size()));
 }
 
-TEST(Checkpoint, FlatV2DumpStillLoads) {
-  // Version-2 dumps (liveness flags, no chunk table) predate the chunked
-  // store and must keep loading unchanged.
+TEST(Checkpoint, RetiredVersionsThrow) {
+  // Version 3 is the one checkpoint format. Dumps in the retired layouts
+  // (version 1: flag-less store, no frontier; version 2: liveness flags,
+  // no chunk flag) are rejected at the header, before the store is
+  // touched.
   Fixture f;
   f.add({0}, {1.0f, 2.0f}, 1);
-  ByteWriter writer;
-  writer.write_u32(0x544e474c);  // "TNGL"
-  writer.write_u32(2);
-  f.tangle.serialize(writer);
-  writer.write_u64(f.store.size());
-  for (PayloadId id = 0; id < f.store.size(); ++id) {
-    writer.write_u8(1);
-    writer.write_f32_span(f.store.get(id));
+  for (const std::uint32_t version : {1u, 2u}) {
+    ByteWriter writer;
+    writer.write_u32(0x544e474c);  // "TNGL"
+    writer.write_u32(version);
+    f.tangle.serialize(writer);
+    writer.write_u64(f.store.size());
+    for (PayloadId id = 0; id < f.store.size(); ++id) {
+      if (version == 2) writer.write_u8(1);
+      writer.write_f32_span(f.store.get(id));
+    }
+    if (version == 2) {
+      writer.write_u64(0);  // prune floor
+      writer.write_u8(0);   // no cone sidecar
+    }
+    write_file(test_path(), writer);
+
+    ModelStore store;
+    EXPECT_THROW((void)load_ledger(test_path(), store), SerializeError)
+        << "version " << version;
+    EXPECT_EQ(store.size(), 0u);
   }
-  writer.write_u64(0);  // prune floor
-  writer.write_u8(0);   // no cone sidecar
-  write_file(test_path(), writer);
-
-  ModelStore store;
-  const Tangle restored = load_ledger(test_path(), store);
-  ASSERT_EQ(restored.size(), 2u);
-  EXPECT_FALSE(store.chunking_enabled());
-  EXPECT_EQ(store.get(restored.transaction(1).payload),
-            (nn::ParamVector{1.0f, 2.0f}));
-  std::remove(test_path().c_str());
-}
-
-TEST(Checkpoint, LegacyV1DumpStillLoads) {
-  // Version-1 dumps: flag-less store, no prune frontier, no sidecar.
-  Fixture f;
-  f.add({0}, {3.0f}, 1);
-  ByteWriter writer;
-  writer.write_u32(0x544e474c);  // "TNGL"
-  writer.write_u32(1);
-  f.tangle.serialize(writer);
-  writer.write_u64(f.store.size());
-  for (PayloadId id = 0; id < f.store.size(); ++id) {
-    writer.write_f32_span(f.store.get(id));
-  }
-  write_file(test_path(), writer);
-
-  ModelStore store;
-  const Tangle restored = load_ledger(test_path(), store);
-  ASSERT_EQ(restored.size(), 2u);
-  EXPECT_EQ(restored.prune_floor(), 0u);
-  EXPECT_EQ(store.get(restored.transaction(1).payload),
-            (nn::ParamVector{3.0f}));
   std::remove(test_path().c_str());
 }
 

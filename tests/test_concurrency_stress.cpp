@@ -7,6 +7,7 @@
 // latent races and dangling references into hard failures.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <iterator>
@@ -340,7 +341,6 @@ TEST(ConcurrencyStress, ViewCacheAndEvalEngineSharedUnderOnePool) {
   constexpr std::size_t kIterations = 240;
   pool.parallel_for(kIterations, [&](std::size_t i) {
     // Cone-cache side: rotating prefixes overflow capacity 2 constantly.
-    // get() runs on the caller's thread (never pass a worker its own pool).
     const std::size_t p = i % std::size(prefixes);
     const auto entry = cache.get(tangle.view_prefix(prefixes[p]));
     ASSERT_EQ(entry->view_size(), prefixes[p]);
@@ -353,9 +353,10 @@ TEST(ConcurrencyStress, ViewCacheAndEvalEngineSharedUnderOnePool) {
     // evicted BatchedSplit.
     const std::size_t k = (i / 2) % 3;
     const auto prepared = engine.prepare(splits[k]);
-    const auto outcome =
-        engine.payload_eval(model_store, payloads[k], *prepared);
-    ASSERT_EQ(outcome.result.loss, expected_loss[k]);
+    const std::array<tangle::PayloadId, 1> probe{payloads[k]};
+    const auto outcomes =
+        engine.payloads_eval_many(model_store, probe, *prepared);
+    ASSERT_EQ(outcomes.front().result.loss, expected_loss[k]);
     checksum.fetch_add(cone_sum + static_cast<std::uint64_t>(k),
                        std::memory_order_relaxed);
   });

@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,19 @@ nn::ParamVector random_params(const nn::ModelFactory& factory,
   Rng rng(seed);
   model.init(rng);
   return model.get_parameters();
+}
+
+/// One cached probe: a single-request evaluate_many group.
+EvalOutcome probe_once(EvalEngine& engine, const ParamsKey& key,
+                  std::span<const float> params, const BatchedSplit& batched) {
+  const std::array<EvalRequest, 1> requests{EvalRequest{params, key}};
+  return engine.evaluate_many(requests, batched).front();
+}
+
+/// One cached probe of a store payload, keyed by its id.
+EvalOutcome probe_once(EvalEngine& engine, const ModelStore& store,
+                  tangle::PayloadId id, const BatchedSplit& batched) {
+  return probe_once(engine, ParamsKey::single(id), store.get(id), batched);
 }
 
 TEST(EvalEngine, SplitKeyIsContentIdentity) {
@@ -107,9 +122,9 @@ TEST(EvalEngine, PayloadEvalCachesAcrossProbesAndDedupedPayloads) {
   const data::DataSplit split = make_split(40, 13);
   const auto prepared = engine.prepare(split);
 
-  const EvalOutcome miss = engine.payload_eval(store, first.id, *prepared);
+  const EvalOutcome miss = probe_once(engine, store, first.id, *prepared);
   EXPECT_FALSE(miss.cache_hit);
-  const EvalOutcome hit = engine.payload_eval(store, duplicate.id, *prepared);
+  const EvalOutcome hit = probe_once(engine, store, duplicate.id, *prepared);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(miss.result.loss, hit.result.loss);
   EXPECT_EQ(miss.result.accuracy, hit.result.accuracy);
@@ -117,7 +132,7 @@ TEST(EvalEngine, PayloadEvalCachesAcrossProbesAndDedupedPayloads) {
 
   // Same payload on a different split is a distinct cache entry.
   const auto other = engine.prepare(make_split(40, 14));
-  EXPECT_FALSE(engine.payload_eval(store, first.id, *other).cache_hit);
+  EXPECT_FALSE(probe_once(engine, store, first.id, *other).cache_hit);
   EXPECT_EQ(engine.cached_results(), 2u);
 }
 
@@ -134,16 +149,16 @@ TEST(EvalEngine, ParamsEvalKeyedByOrderedPayloadList) {
   const auto prepared = engine.prepare(split);
 
   const ParamsKey key{{a.id, b.id}};
-  const EvalOutcome miss = engine.params_eval(key, averaged, *prepared);
+  const EvalOutcome miss = probe_once(engine, key, averaged, *prepared);
   EXPECT_FALSE(miss.cache_hit);
-  const EvalOutcome hit = engine.params_eval(key, averaged, *prepared);
+  const EvalOutcome hit = probe_once(engine, key, averaged, *prepared);
   EXPECT_TRUE(hit.cache_hit);
   EXPECT_EQ(miss.result.loss, hit.result.loss);
 
   // The reversed list is a different identity (average_params is order-
   // sensitive in float arithmetic only by convention; the key is exact).
   const EvalOutcome reversed =
-      engine.params_eval(ParamsKey{{b.id, a.id}}, averaged, *prepared);
+      probe_once(engine, ParamsKey{{b.id, a.id}}, averaged, *prepared);
   EXPECT_FALSE(reversed.cache_hit);
 
   // The cached value equals the direct uncached computation bitwise.
@@ -268,7 +283,7 @@ TEST(EvalEngine, EvaluateManyCacheInterleavings) {
   const auto cold = store.add(random_params(factory, 501));
   const nn::ParamVector fresh = random_params(factory, 502);
 
-  engine.payload_eval(store, warm.id, *prepared);  // pre-warm one key
+  probe_once(engine, store, warm.id, *prepared);  // pre-warm one key
   ASSERT_EQ(engine.cached_results(), 1u);
 
   // Group mixing: a cached key, a missing key, an in-group duplicate of
@@ -305,7 +320,7 @@ TEST(EvalEngine, EvaluateManyCacheInterleavings) {
 
 TEST(EvalEngine, EvaluateManyBatchedOffReplaysSerialPath) {
   // One fused group on a pool against the same probes run one at a time
-  // (per-item payload_eval on a second engine): losses, hit flags and
+  // (per-item single-request groups on a second engine): losses, hit flags and
   // eval.cache.* totals must all agree. The group repeats one payload so
   // the in-group alias resolves as a hit, like the serial re-probe.
   const nn::ModelFactory factory = conv_factory();
@@ -335,7 +350,7 @@ TEST(EvalEngine, EvaluateManyBatchedOffReplaysSerialPath) {
 
   std::vector<EvalOutcome> b;
   for (const tangle::PayloadId id : ids) {
-    b.push_back(serial.payload_eval(store, id, *prepared_serial));
+    b.push_back(probe_once(serial, store, id, *prepared_serial));
   }
   EXPECT_EQ(hits.value() - hits_before - fused_hits, fused_hits);
   EXPECT_EQ(misses.value() - misses_before - fused_misses, fused_misses);
@@ -377,7 +392,7 @@ TEST(EvalEngine, PoolReusesInstancesUnderParallelFor) {
   ThreadPool pool(3);
   pool.parallel_for(kProbes, [&](std::size_t i) {
     const EvalOutcome outcome =
-        engine.params_eval(ParamsKey::single(1000 + i),
+        probe_once(engine, ParamsKey::single(1000 + i),
                            store.get(ids[i % kPayloads]), *prepared);
     EXPECT_FALSE(outcome.cache_hit);
     losses[i] = outcome.result.loss;

@@ -279,6 +279,21 @@ TEST(ModelStoreChunked, FlatDumpLoadsIntoFlatStore) {
   EXPECT_EQ(restored.get(0), (nn::ParamVector{1.0f, 2.0f}));
 }
 
+TEST(ModelStoreChunked, HostileSlotCountThrowsSerializeError) {
+  // A chunk-slot count the dump cannot hold must fail as malformed input,
+  // not as an allocation of the claimed size.
+  ByteWriter writer;
+  writer.write_u8(1);  // chunked
+  writer.write_u64(tiny_chunks().min_bytes);
+  writer.write_u64(tiny_chunks().max_bytes);
+  writer.write_u32(tiny_chunks().mask_bits);
+  writer.write_u64(1ull << 61);  // chunk slots
+  writer.write_u64(0);           // one empty slot, then the dump ends
+  ByteReader reader(writer.bytes());
+  ModelStore restored;
+  EXPECT_THROW(ModelStore::deserialize_into(reader, restored), SerializeError);
+}
+
 // add(prepare(p)) is the one insert path; add(p) must stay exactly it, in
 // ids, hashes, dedup, chunk ids (visible in the serialized chunk spans) and
 // serialized bytes, across duplicates, releases and slot recycling.

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "data/femnist_synth.hpp"
 #include "nn/model_zoo.hpp"
 #include "obs/metrics.hpp"
+#include "tangle/payload_codec.hpp"
 
 namespace tanglefl::core {
 namespace {
@@ -138,12 +141,43 @@ TEST(Simulation, ViewCacheBoundsConeRecomputesPerRound) {
           .counter("tangle.cone_recompute.count")
           .value();
   const std::uint64_t evals = 2;  // rounds 2 and 4
+  // Every sync view is a growing prefix, so the delta build serves all of
+  // them: a fall back to the full (serial) build shows up here.
+  EXPECT_EQ(recomputes, 0u);
   EXPECT_LE(recomputes, 2 * (config.rounds + 2 * evals));
   EXPECT_LT(recomputes, config.rounds * config.nodes_per_round);
   EXPECT_GT(obs::MetricsRegistry::global()
                 .counter("tangle.view_cache.hit")
                 .value(),
             0u);
+}
+
+TEST(Simulation, DivergedNodesAbstainInsteadOfAborting) {
+  // At a learning rate of 1e30 local training overflows to NaN/±inf
+  // weights. Such a node abstains: the run completes under a quantize
+  // stage (which cannot encode a non-finite value) and with the codec off
+  // (where a NaN loss would pass the publish gate), and the ledger holds
+  // only finite payloads.
+  const auto dataset = small_dataset();
+  for (const char* spec : {"delta,quantize,entropy", "off"}) {
+    SCOPED_TRACE(spec);
+    obs::Counter& abstained = obs::MetricsRegistry::global().counter(
+        "node.step.suppressed.non_finite");
+    const std::uint64_t before = abstained.value();
+    SimulationConfig config = fast_config();
+    config.node.training.sgd.learning_rate = 1e30;
+    config.node.training.batch_size = 4;
+    config.codec = tangle::parse_codec_spec(spec);
+    TangleSimulation sim(dataset, small_factory(), config);
+    ASSERT_NO_THROW((void)sim.run());
+    EXPECT_GT(abstained.value(), before);
+    for (tangle::TxIndex i = 0; i < sim.tangle().size(); ++i) {
+      for (const float v :
+           sim.store().get(sim.tangle().transaction(i).payload)) {
+        ASSERT_TRUE(std::isfinite(v)) << "transaction " << i;
+      }
+    }
+  }
 }
 
 TEST(Simulation, DeterministicMetricsSnapshot) {

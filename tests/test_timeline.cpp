@@ -140,6 +140,36 @@ TEST(RegistrySampler, HistogramWindowedQuantiles) {
             ",\"test.lat.p99\":" + json_number(7.92) + "}\n");
 }
 
+TEST(RegistrySampler, HistogramQuantilesIgnoreEarlierRuns) {
+  // A run's windowed quantiles must not depend on what the process recorded
+  // before it: an earlier run's wider extremes (below the first bound and
+  // far into the overflow bucket) leave the run's rows unchanged.
+  const auto sampled_run = [](bool after_earlier_run) {
+    MetricsRegistry registry;
+    Histogram& hist =
+        registry.histogram("test.lat", BucketLayout::linear(4.0, 4.0, 2));
+    if (after_earlier_run) {
+      hist.record(0.25);
+      hist.record(1000.0);
+    }
+    RegistrySampler sampler(registry);
+    Timeline timeline;
+    timeline.begin_run("r");
+    for (const double v : {2.0, 3.0, 6.0, 12.0}) hist.record(v);
+    sampler.sample(timeline, 1);
+    return timeline.to_jsonl();
+  };
+  const std::string alone = sampled_run(false);
+  EXPECT_EQ(sampled_run(true), alone);
+  // Layout anchors: p50 = 4 (the first bucket's upper bound, its lower edge
+  // 0); p99 falls in the overflow bucket, which reads as the last bound 8.
+  EXPECT_EQ(alone,
+            "{\"round\":1,\"run\":\"r\",\"test.lat.count\":4.0,"
+            "\"test.lat.p50\":" + json_number(4.0) +
+            ",\"test.lat.p90\":" + json_number(8.0) +
+            ",\"test.lat.p99\":" + json_number(8.0) + "}\n");
+}
+
 TEST(RoundScope, SamplesAtScopeExit) {
   MetricsRegistry registry;
   Counter& hits = registry.counter("test.hits");
